@@ -260,17 +260,11 @@ pub struct CacheLevel {
     tag_filter: bool,
     /// Structure-of-arrays L1 mode: the packed per-set LRU stacks are
     /// this level's authoritative recency order (replacing `lru_seq`
-    /// comparisons) and [`CacheLevel::try_demand_hit`] becomes legal.
-    /// Only valid for levels driven by `BaselinePolicy` + `Lru`.
+    /// comparisons). Only valid for levels driven by `BaselinePolicy` +
+    /// `Lru`.
     packed_lru: bool,
     /// Per-set packed LRU stacks (maintained when `packed_lru`).
     lru_stacks: Vec<PackedLruStack>,
-    /// Per-set last-hit-way memo (way memoization): `NO_MEMO` or the
-    /// way that serviced the set's last fast-path hit. Self-verifying —
-    /// the fast path re-checks the valid bit and full address before
-    /// trusting it — and additionally cleared when the memoized way is
-    /// evicted, invalidated, or swapped.
-    hit_memo: Vec<u16>,
     /// Monotone touch sequence for LRU stamps. Only the *relative* order
     /// of two stamps within one set is ever compared, so the absolute
     /// value is free to differ between a sharded and a serial run.
@@ -310,9 +304,6 @@ pub struct CacheLevel {
     slot_rngs: Vec<SplitMix64>,
 }
 
-/// "No memoized way" sentinel for `hit_memo`.
-const NO_MEMO: u16 = u16::MAX;
-
 impl CacheLevel {
     /// Creates a level with the given geometry.
     pub fn new(name: impl Into<String>, geom: CacheGeometry) -> Self {
@@ -330,7 +321,6 @@ impl CacheLevel {
         let valid_bits = vec![0u32; geom.sets];
         let dirty_bits = vec![0u32; geom.sets];
         let lru_stacks = vec![PackedLruStack::new(); geom.sets];
-        let hit_memo = vec![NO_MEMO; geom.sets];
         let slot_rngs = (0..geom.sets as u64)
             .map(|set| {
                 SplitMix64::new(
@@ -350,7 +340,6 @@ impl CacheLevel {
             tag_filter: true,
             packed_lru: false,
             lru_stacks,
-            hit_memo,
             seq: 0,
             set_stamp_granule,
             rd_scale,
@@ -378,9 +367,8 @@ impl CacheLevel {
 
     /// Enables the structure-of-arrays L1 mode: victim choice reads the
     /// packed per-set LRU stack instead of comparing `lru_seq` stamps
-    /// (equivalent orders — every touch point updates both), and
-    /// [`CacheLevel::try_demand_hit`] becomes legal. Only valid for a
-    /// level driven by `BaselinePolicy` + `Lru` (the L1): with any other
+    /// (equivalent orders — every touch point updates both). Only valid
+    /// for a level driven by `BaselinePolicy` + `Lru` (the L1): with any other
     /// replacement policy the stack's LRU order would override the
     /// policy's victim choice.
     ///
@@ -396,17 +384,6 @@ impl CacheLevel {
         );
         self.packed_lru = enabled;
         self
-    }
-
-    /// Whether the structure-of-arrays L1 mode is enabled.
-    pub fn packed_lru_enabled(&self) -> bool {
-        self.packed_lru
-    }
-
-    /// The memoized last-hit way of `set` (introspection/tests).
-    pub fn memoized_way(&self, set: usize) -> Option<usize> {
-        let memo = self.hit_memo[set];
-        (memo != NO_MEMO).then_some(usize::from(memo))
     }
 
     /// The partial tag stored for a line address: a cheap mix of the
@@ -437,12 +414,8 @@ impl CacheLevel {
         }
         if self.packed_lru {
             // A fill is a touch (the reference path stamps `lru_seq`
-            // at the same point), and it retires any memo of the
-            // displaced occupant.
+            // at the same point).
             self.lru_stacks[set].touch(way);
-            if self.hit_memo[set] == way as u16 {
-                self.hit_memo[set] = NO_MEMO;
-            }
         }
         core::mem::replace(&mut self.lines[idx], state)
     }
@@ -739,7 +712,6 @@ impl CacheLevel {
         }
         if self.packed_lru {
             self.lru_stacks[set].touch(way);
-            self.hit_memo[set] = way as u16;
         }
         repl.on_hit(set, self.set_slice_mut(set), way);
 
@@ -772,151 +744,6 @@ impl CacheLevel {
             sampling,
             slip_codes,
         })
-    }
-
-    /// Attempts to service a demand access as a straight-line L1 hit,
-    /// returning its latency, or `None` (mutating **nothing**) on a
-    /// miss so the caller can fall into the full [`Self::access`] path.
-    ///
-    /// Requires the SoA mode ([`Self::with_packed_lru`]): the level
-    /// must be driven by `BaselinePolicy` + `Lru`, for which this is
-    /// bit-exact shorthand for the [`Self::access`] hit path — the
-    /// policy hooks are no-ops, `promotion_mask` is `None`, and the
-    /// skipped `lru_seq` stamp is subsumed by the packed stack (the
-    /// only consumer of LRU order on a packed level). The per-hit
-    /// `reuse_distance`/`sampling`/`slip_codes` of [`HitInfo`] are
-    /// not computed: the engine ignores them on L1 hits.
-    ///
-    /// The way memo short-circuits repeat touches to one verified
-    /// compare; it is self-verifying (valid bit + full address), so a
-    /// stale memo costs a probe, never a wrong hit.
-    #[inline]
-    pub fn try_demand_hit(&mut self, line: LineAddr, is_write: bool) -> Option<u32> {
-        debug_assert!(self.packed_lru, "fast hits need the SoA layout");
-        let set = self.geom.set_of(line);
-        let base = set * self.geom.ways;
-        let memo = self.hit_memo[set];
-        let way = if usize::from(memo) < self.geom.ways
-            && self.valid_bits[set] & (1u32 << memo) != 0
-            && self.lines[base + usize::from(memo)].addr == line
-        {
-            usize::from(memo)
-        } else {
-            let tags = &self.tags[base..base + self.geom.ways];
-            let mut candidates =
-                Self::tag_match_mask(tags, Self::tag_of(line)) & self.valid_bits[set];
-            loop {
-                if candidates == 0 {
-                    return None;
-                }
-                let way = candidates.trailing_zeros() as usize;
-                candidates &= candidates - 1;
-                if self.lines[base + way].addr == line {
-                    break way;
-                }
-            }
-        };
-
-        self.set_counters[set] += 1;
-        self.stats.demand_accesses += 1;
-        self.stats.demand_hits += 1;
-        self.stats.hits_per_sublevel[self.geom.sublevel(way)] += 1;
-        self.ledger.count_way(EnergyCategory::Access, way);
-        let wait = core::mem::take(&mut self.port_backlog[set]);
-        // Granule 1 (the L1's) needs no division.
-        let stamp_now = if self.set_stamp_granule == 1 {
-            (self.set_counters[set] % 64) as u8
-        } else {
-            self.stamp6_of(set)
-        };
-        {
-            let slot = &mut self.lines[base + way];
-            slot.timestamp = stamp_now;
-            slot.hits_since_fill += 1;
-            if is_write {
-                slot.dirty = true;
-            }
-        }
-        if is_write {
-            self.dirty_bits[set] |= 1 << way;
-        }
-        self.lru_stacks[set].touch(way);
-        self.hit_memo[set] = way as u16;
-        Some(
-            wait + self
-                .uniform_latency
-                .unwrap_or_else(|| self.geom.latency(way)),
-        )
-    }
-
-    /// Retires `n` back-to-back demand accesses to the *same* line as
-    /// one closed-form L1 hit, returning their summed latency, or
-    /// `None` (mutating nothing) if the line is not resident.
-    ///
-    /// Must mirror `n` consecutive [`Self::try_demand_hit`] calls
-    /// exactly; every per-hit update collapses: the counters and the
-    /// reuse counter gain `n`, the port backlog is drained by the first
-    /// hit only (nothing re-arms it between baseline hits), the final
-    /// timestamp is the `n`-th stamp, the dirty/LRU/memo updates are
-    /// idempotent after the first hit, and each hit past the first adds
-    /// one uniform-latency term. The `fastpath-determinism` family and
-    /// the golden suite hold this equivalence.
-    #[inline]
-    pub fn try_demand_hit_run(&mut self, line: LineAddr, is_write: bool, n: u64) -> Option<u64> {
-        debug_assert!(self.packed_lru, "fast hits need the SoA layout");
-        debug_assert!(n >= 1, "a hit run has at least one access");
-        let set = self.geom.set_of(line);
-        let base = set * self.geom.ways;
-        let memo = self.hit_memo[set];
-        let way = if usize::from(memo) < self.geom.ways
-            && self.valid_bits[set] & (1u32 << memo) != 0
-            && self.lines[base + usize::from(memo)].addr == line
-        {
-            usize::from(memo)
-        } else {
-            let tags = &self.tags[base..base + self.geom.ways];
-            let mut candidates =
-                Self::tag_match_mask(tags, Self::tag_of(line)) & self.valid_bits[set];
-            loop {
-                if candidates == 0 {
-                    return None;
-                }
-                let way = candidates.trailing_zeros() as usize;
-                candidates &= candidates - 1;
-                if self.lines[base + way].addr == line {
-                    break way;
-                }
-            }
-        };
-
-        self.set_counters[set] += n;
-        self.stats.demand_accesses += n;
-        self.stats.demand_hits += n;
-        self.stats.hits_per_sublevel[self.geom.sublevel(way)] += n;
-        self.ledger.count_way_n(EnergyCategory::Access, way, n);
-        let wait = core::mem::take(&mut self.port_backlog[set]);
-        let stamp_now = if self.set_stamp_granule == 1 {
-            (self.set_counters[set] % 64) as u8
-        } else {
-            self.stamp6_of(set)
-        };
-        {
-            let slot = &mut self.lines[base + way];
-            slot.timestamp = stamp_now;
-            slot.hits_since_fill += n as u32;
-            if is_write {
-                slot.dirty = true;
-            }
-        }
-        if is_write {
-            self.dirty_bits[set] |= 1 << way;
-        }
-        self.lru_stacks[set].touch(way);
-        self.hit_memo[set] = way as u16;
-        let per_hit = self
-            .uniform_latency
-            .unwrap_or_else(|| self.geom.latency(way));
-        Some(u64::from(wait) + n * u64::from(per_hit))
     }
 
     /// Swaps the line at `way` with the slot at `target` (promotion).
@@ -976,10 +803,6 @@ impl CacheLevel {
             // Recency metadata travels with the exchanged line states,
             // exactly like `lru_seq` does via the slice swap above.
             self.lru_stacks[set].swap_ways(way, target);
-            let memo = self.hit_memo[set];
-            if memo == way as u16 || memo == target as u16 {
-                self.hit_memo[set] = NO_MEMO;
-            }
         }
         self.stats.promotions += 1;
         let moves = if target_valid { 2 } else { 1 };
@@ -1195,9 +1018,6 @@ impl CacheLevel {
         *slot = LineState::INVALID;
         self.valid_bits[set] &= !(1 << way);
         self.dirty_bits[set] &= !(1 << way);
-        if self.hit_memo[set] == way as u16 {
-            self.hit_memo[set] = NO_MEMO;
-        }
         self.stats.evictions += 1;
         self.stats.record_line_reuses(out.hits_since_fill);
         Some(out)

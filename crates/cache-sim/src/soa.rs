@@ -1,4 +1,4 @@
-//! Structure-of-arrays helpers for the L1 fast path.
+//! Structure-of-arrays helpers for the L1.
 //!
 //! [`PackedLruStack`] packs a set's full LRU recency order into one
 //! u64 — sixteen 4-bit way slots, most-recent first — so a hit's LRU
@@ -58,7 +58,7 @@ impl PackedLruStack {
     pub fn touch(&mut self, way: usize) {
         debug_assert!(way < Self::MAX_WAYS);
         if self.0 & 0xF == way as u64 {
-            // Already MRU — the common case on memoized repeat hits.
+            // Already MRU — the common case on repeat hits.
             return;
         }
         let pos = self.position_of(way as u64);

@@ -210,10 +210,10 @@ fn packed_stack_matches_reference_lru_for_every_way_count() {
     }
 }
 
-/// The SoA fast-hit path (`try_demand_hit` + full-access fallback) is
-/// a drop-in replacement for the reference access path on a
-/// baseline-LRU level: same verdicts, same latencies, same victims,
-/// same statistics, over random read/write streams.
+/// The SoA L1 mode (tag filter + packed LRU stacks) is a drop-in
+/// replacement for the reference access path on a baseline-LRU level:
+/// same verdicts, same latencies, same victims, same statistics, over
+/// random read/write streams.
 #[test]
 fn packed_cache_matches_reference_access_path() {
     let mut rng = SplitMix64::new(0x776);
@@ -229,8 +229,7 @@ fn packed_cache_matches_reference_access_path() {
         let mut ref_repl = Lru::new();
         let addrs = random_addrs(&mut rng, 192, 100, 600);
         for (i, &line) in addrs.iter().enumerate() {
-            let is_write = rng.next_below(4) == 0;
-            let kind = if is_write {
+            let kind = if rng.next_below(4) == 0 {
                 AccessKind::Write
             } else {
                 AccessKind::Read
@@ -243,44 +242,32 @@ fn packed_cache_matches_reference_access_path() {
                 &mut ref_pol,
                 &mut ref_repl,
             );
-            match fast.try_demand_hit(line, is_write) {
-                Some(latency) => {
-                    assert!(r.is_hit(), "fast hit where reference missed: {line:?}");
-                    if let cache_sim::AccessResult::Hit(h) = r {
-                        assert_eq!(latency, h.latency, "hit latency diverged: {line:?}");
-                    }
-                }
-                None => {
-                    let f = fast.access(
-                        line,
-                        kind,
-                        AccessClass::Demand,
-                        i as u64,
-                        &mut fast_pol,
-                        &mut fast_repl,
-                    );
-                    assert!(!f.is_hit(), "try_demand_hit refused a resident line");
-                    assert!(
-                        !r.is_hit(),
-                        "reference hit where fast path missed: {line:?}"
-                    );
-                    assert_eq!(f.latency(), r.latency());
-                    let fo = fast.fill(
-                        FillRequest::new(line),
-                        i as u64,
-                        &mut fast_pol,
-                        &mut fast_repl,
-                    );
-                    let ro = reference.fill(
-                        FillRequest::new(line),
-                        i as u64,
-                        &mut ref_pol,
-                        &mut ref_repl,
-                    );
-                    let fe: Vec<_> = fo.evicted().map(|e| (e.addr, e.dirty)).collect();
-                    let re: Vec<_> = ro.evicted().map(|e| (e.addr, e.dirty)).collect();
-                    assert_eq!(fe, re, "divergent victims at access {i}");
-                }
+            let f = fast.access(
+                line,
+                kind,
+                AccessClass::Demand,
+                i as u64,
+                &mut fast_pol,
+                &mut fast_repl,
+            );
+            assert_eq!(f.is_hit(), r.is_hit(), "verdict diverged: {line:?}");
+            assert_eq!(f.latency(), r.latency(), "latency diverged: {line:?}");
+            if !r.is_hit() {
+                let fo = fast.fill(
+                    FillRequest::new(line),
+                    i as u64,
+                    &mut fast_pol,
+                    &mut fast_repl,
+                );
+                let ro = reference.fill(
+                    FillRequest::new(line),
+                    i as u64,
+                    &mut ref_pol,
+                    &mut ref_repl,
+                );
+                let fe: Vec<_> = fo.evicted().map(|e| (e.addr, e.dirty)).collect();
+                let re: Vec<_> = ro.evicted().map(|e| (e.addr, e.dirty)).collect();
+                assert_eq!(fe, re, "divergent victims at access {i}");
             }
             assert_eq!(fast.probe_way(line), reference.probe_way(line));
         }
@@ -295,68 +282,6 @@ fn packed_cache_matches_reference_access_path() {
         );
         assert_eq!(fast.energy().total(), reference.energy().total());
     }
-}
-
-/// Evicting or invalidating the memoized line retires the way memo:
-/// the stale memo must never satisfy a fast hit for the departed
-/// address, and the slot's new occupant must still fast-hit.
-#[test]
-fn way_memo_is_invalidated_on_eviction() {
-    // One set, two ways: evictions are easy to aim.
-    let geom = CacheGeometry::from_sublevels(1, &[(2, Energy::from_pj(5.0), 4)]);
-    let mut cache = CacheLevel::new("c", geom)
-        .with_tag_filter(true)
-        .with_packed_lru(true);
-    let mut policy = BaselinePolicy::new();
-    let mut repl = Lru::new();
-    let (a, b, c) = (LineAddr(1), LineAddr(2), LineAddr(3));
-    cache.fill(FillRequest::new(a), 0, &mut policy, &mut repl);
-    cache.fill(FillRequest::new(b), 0, &mut policy, &mut repl);
-    // Hit `a`: the memo now points at a's way, and `a` is MRU.
-    assert!(cache.try_demand_hit(a, false).is_some());
-    let memo_way = cache.memoized_way(0).expect("memo set by the hit");
-    assert_eq!(cache.probe_way(a), Some(memo_way));
-    // Hit `a` again so LRU would evict `b`, then aim at `a` anyway:
-    // an explicit invalidate of the memoized line.
-    assert!(cache.try_demand_hit(a, false).is_some());
-    cache.invalidate(a);
-    assert_eq!(
-        cache.memoized_way(0),
-        None,
-        "invalidate must clear the memo"
-    );
-    assert!(cache.try_demand_hit(a, false).is_none());
-    // Fill `c`; it lands in a's old slot (the only invalid way). The
-    // departed address must not fast-hit; the new occupant must.
-    cache.fill(FillRequest::new(c), 0, &mut policy, &mut repl);
-    assert!(cache.try_demand_hit(a, false).is_none());
-    assert!(cache.try_demand_hit(c, false).is_some());
-    // Eviction through a fill cascade also retires the memo: hit `b`
-    // (memo = b's way), then fill a new line evicting LRU... `c` was
-    // just touched, so evict order is b-then-c only if b is LRU; touch
-    // c to make b the victim and memoize b first.
-    assert!(cache.try_demand_hit(b, false).is_some());
-    assert!(cache.try_demand_hit(c, false).is_some());
-    assert!(cache.try_demand_hit(b, false).is_some());
-    let b_way = cache.memoized_way(0).expect("memo points at b");
-    assert_eq!(cache.probe_way(b), Some(b_way));
-    // Evict `c` (LRU) with a new fill: memo (at b) survives and b
-    // still fast-hits, while c no longer does.
-    let d = LineAddr(4);
-    cache.fill(FillRequest::new(d), 0, &mut policy, &mut repl);
-    assert!(cache.probe_way(c).is_none(), "c was the LRU victim");
-    assert!(cache.try_demand_hit(c, false).is_none());
-    assert!(cache.try_demand_hit(b, false).is_some());
-    // Now make b the victim of a fill: the memo pointing at b's way
-    // must be retired when d's fill displaces it.
-    assert!(cache.try_demand_hit(d, false).is_some());
-    assert!(cache.try_demand_hit(b, false).is_some());
-    assert!(cache.try_demand_hit(d, false).is_some());
-    let e = LineAddr(5);
-    cache.fill(FillRequest::new(e), 0, &mut policy, &mut repl);
-    assert!(cache.probe_way(b).is_none(), "b was the LRU victim");
-    assert!(cache.try_demand_hit(b, false).is_none());
-    assert!(cache.try_demand_hit(e, false).is_some());
 }
 
 /// Energy accounting is monotone: more accesses never reduce any

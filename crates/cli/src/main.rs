@@ -29,14 +29,15 @@
 //!   --journal <path>    JSONL run journal; a re-run with the same
 //!                       options resumes, skipping completed cells
 //!                                                       (default SLIP_JOURNAL)
-//!   --trace-mode <inline|pipelined|shared|fused>
+//!   --trace-mode <inline|shared|fused>
 //!                       how sweep cells obtain their access streams;
 //!                       fused decodes each benchmark's trace once and
 //!                       steps all of its policy cells in lockstep
-//!                       (incompatible with --shards > 1)
+//!                       (incompatible with --shards > 1); `pipelined`
+//!                       is accepted as a spelling of inline
 //!                                                       (default SLIP_TRACE_MODE or shared)
 //!   --trace-cache-mb <N>  shared-trace cache budget in MiB; over-budget
-//!                       groups regenerate pipelined, 0 disables sharing
+//!                       groups regenerate inline, 0 disables sharing
 //!                                                       (default SLIP_TRACE_CACHE_MB or 1024)
 //!   --topology <node|file>  hierarchy spec: a built-in technology node
 //!                       (45nm, 22nm, stt-llc) or a spec file giving
@@ -79,7 +80,7 @@ usage:
                [--topology NODE|FILE]
   slip sweep [workload ...] [--accesses N] [--jobs N] [--shards N]
              [--journal run.jsonl] [--topology NODE|FILE]
-             [--trace-mode inline|pipelined|shared|fused] [--trace-cache-mb N]
+             [--trace-mode inline|shared|fused] [--trace-cache-mb N]
   slip mix <bench_a> <bench_b> [--accesses N] [--seed S]
   slip record <workload> <out.trc> [--accesses N] [--seed S]
   slip bench [--quick] [--out bench.json] [--check BENCH_9.json]
@@ -87,7 +88,7 @@ usage:
   slip check [--quick|--full] [--oracle] [--iters N] [--seed S] [--max-len N]
              [--accesses N] [--jobs N] [--topology NODE|FILE]
   slip serve [--addr HOST:PORT] [--jobs N] [--shards N] [--journal-dir DIR]
-             [--trace-mode inline|pipelined|shared|fused]
+             [--trace-mode inline|shared|fused]
              [--trace-cache-mb N] [--port-file FILE] [--quiet]
   slip submit [workload ...] [--policy P]... [--accesses N] [--warmup N]
               [--topology NODE|FILE] [--connect HOST:PORT] [--verify-offline]
@@ -261,7 +262,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         let reader = workloads::io::read_trace(target).map_err(|e| e.to_string())?;
         let mut system = SingleCoreSystem::new(config_from(&o)?);
         for access in reader {
-            system.step_fast(access.map_err(|e| e.to_string())?);
+            system.step(access.map_err(|e| e.to_string())?);
         }
         system.finish(target.clone())
     } else {
@@ -1113,8 +1114,11 @@ mod tests {
             o.journal.as_deref(),
             Some(std::path::Path::new("run.jsonl"))
         );
-        assert_eq!(o.trace_mode, TraceMode::Pipelined);
+        // `pipelined` names a retired mode and parses as inline.
+        assert_eq!(o.trace_mode, TraceMode::Inline);
         assert_eq!(o.trace_cache_mb, 64);
+        let o = parse_options(&s(&["--trace-mode", "pipeline"])).unwrap();
+        assert_eq!(o.trace_mode, TraceMode::Inline);
     }
 
     #[test]
@@ -1280,6 +1284,33 @@ mod tests {
             .contains("SLIP_BENCH_TOL"));
         assert!(resolve_bench_tolerance(Some("0"), None).is_err());
         assert!(resolve_bench_tolerance(Some("100"), None).is_err());
+    }
+
+    #[test]
+    fn bench_check_reads_committed_bench_9_as_before() {
+        // The CI gate checks `--quick` runs against BENCH_9.json, which
+        // keeps sections (`fastpath_runs`, `sweep/pipelined`) the suite
+        // no longer produces. The verdict reads only `after_quick`'s
+        // suite rate: 5264824 acc/s, floor 4211859 at 20%.
+        let text = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_9.json"));
+        let baseline = baseline_json(text);
+        let quick = baseline.get("after_quick").unwrap();
+        assert!(quick.get("fastpath_runs").is_some());
+        assert!(quick
+            .get("sweep_modes")
+            .and_then(|m| m.get("sweep/pipelined"))
+            .is_some());
+        assert_eq!(
+            sim_engine::bench::baseline_suite_rate(&baseline, false),
+            Some(6314731.63579568)
+        );
+        let (base, floor) =
+            bench_check_verdict(4_300_000.0, &baseline, true, BENCH_REGRESSION_TOLERANCE).unwrap();
+        assert_eq!(base, 5264823.866368244);
+        assert_eq!(floor, 5264823.866368244 * 0.8);
+        assert!(
+            bench_check_verdict(4_200_000.0, &baseline, true, BENCH_REGRESSION_TOLERANCE).is_err()
+        );
     }
 
     #[test]

@@ -200,44 +200,6 @@ impl SlipMmu {
         PageId(line.0 >> (self.block_shift - 6))
     }
 
-    /// `true` if `line`'s rd-block is TLB-resident: translating it is
-    /// a TLB hit — `extra_cycles == 0`, no metadata traffic, no
-    /// page-table or sampler transition — so an access that also hits
-    /// the L1 never reads the rest of the `Translation`
-    /// (`slip_codes`/`sampling` matter below the L1 only). This is the
-    /// pure residency probe of the L1 hit-run scanner; once the L1 hit
-    /// is confirmed, [`Self::commit_resident_hit`] performs the real
-    /// translation state change.
-    #[inline]
-    pub fn is_resident_line(&self, line: LineAddr) -> bool {
-        self.tlb.contains(self.block_of(line))
-    }
-
-    /// Commits the TLB-hit half of [`Self::translate_line`] for a
-    /// resident line: the recency splice and the hit credits, skipping
-    /// the `Translation` build (on a hit it is assembled from pure
-    /// reads of the existing page-table entry, and an L1 hit consumes
-    /// none of it).
-    #[inline]
-    pub fn commit_resident_hit(&mut self, line: LineAddr) {
-        let hit = self.tlb.lookup(self.block_of(line));
-        debug_assert!(hit, "callers probe residency before committing");
-        self.stats.tlb_hits += 1;
-    }
-
-    /// [`Self::commit_resident_hit`] for `n` back-to-back accesses to
-    /// the same resident line: `n` lookups of a resident page are `n`
-    /// hit credits but a single recency splice (after the first the
-    /// page already heads the recency list).
-    #[inline]
-    pub fn commit_resident_hits(&mut self, line: LineAddr, n: u64) {
-        debug_assert!(n >= 1, "a hit run has at least one access");
-        let hit = self.tlb.lookup(self.block_of(line));
-        debug_assert!(hit, "callers probe residency before committing");
-        self.tlb.hits += n - 1;
-        self.stats.tlb_hits += n;
-    }
-
     /// Excludes the All-Bypass Policy from both EOUs ("SLIP" vs
     /// "SLIP+ABP" in the paper's figures).
     pub fn forbid_all_bypass(mut self) -> Self {

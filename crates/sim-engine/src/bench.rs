@@ -18,9 +18,8 @@
 
 use crate::config::{PolicyKind, SystemConfig};
 use crate::experiments::{SuiteOptions, SuiteResults};
-use crate::pipeline::TraceMode;
 use crate::system::SingleCoreSystem;
-use crate::SweepConfig;
+use crate::{SweepConfig, TraceMode};
 use std::time::Instant;
 use sweep_runner::json::Value;
 use workloads::TraceBuffer;
@@ -95,9 +94,7 @@ pub struct SweepModeResult {
     pub cells: u64,
     /// Total simulated accesses across the grid.
     pub accesses: u64,
-    /// Wall seconds of the best repetition. Wall clock, not thread CPU
-    /// time: the pipelined mode spends its CPU on a producer thread,
-    /// which the calling thread's schedstat cannot see.
+    /// Wall seconds of the best repetition.
     pub wall_secs: f64,
     /// Simulated accesses per wall second (best repetition).
     pub accesses_per_sec: f64,
@@ -112,13 +109,9 @@ pub struct BenchReport {
     pub kernels: Vec<KernelResult>,
     /// Full-system throughput runs.
     pub systems: Vec<SystemResult>,
-    /// The trace-mode sweep A/B (inline vs pipelined vs shared vs
-    /// fused), interleaved in the same measurement window.
+    /// The trace-mode sweep A/B (inline vs shared vs fused),
+    /// interleaved in the same measurement window.
     pub sweep_modes: Vec<SweepModeResult>,
-    /// Hit-run scanner throughput runs, in their own section so the
-    /// headline geomean keeps the established `systems` set and
-    /// regression checks compare like with like across PRs.
-    pub fastpath_runs: Vec<SystemResult>,
     /// The set-sharding A/B: one single run at 1, 2, and 4 shards,
     /// interleaved in the same measurement window. Shard counts the
     /// host cannot run in parallel are skipped (see
@@ -160,15 +153,6 @@ impl BenchReport {
                     .with("accesses_per_sec", Value::f64(s.accesses_per_sec)),
             )
         });
-        let fastpath_runs = self.fastpath_runs.iter().fold(Value::object(), |o, s| {
-            o.with(
-                &s.name,
-                Value::object()
-                    .with("accesses", Value::u64(s.accesses))
-                    .with("wall_secs", Value::f64(s.wall_secs))
-                    .with("accesses_per_sec", Value::f64(s.accesses_per_sec)),
-            )
-        });
         let shard_runs = self.shard_runs.iter().fold(Value::object(), |o, s| {
             o.with(
                 &s.name,
@@ -187,7 +171,6 @@ impl BenchReport {
             .with("kernels_ns_per_iter", kernels)
             .with("systems", systems)
             .with("sweep_modes", sweeps)
-            .with("fastpath_runs", fastpath_runs)
             .with("shard_runs", shard_runs)
             .with("host_parallelism", Value::u64(self.host_parallelism as u64))
             .with(
@@ -332,36 +315,6 @@ fn kernel_benches(quick: bool) -> Vec<KernelResult> {
         });
     }
 
-    // SoA L1 fast-hit kernels: the memoized repeat touch, and the SWAR
-    // probe + packed-stack update that runs when the way memo misses —
-    // the two costs the hit-run scanner pays per retired hit.
-    {
-        let mut cache = config.build_l1();
-        let mut policy = BaselinePolicy::new();
-        let mut repl = Lru::new();
-        let line = LineAddr(7);
-        cache.fill(FillRequest::new(line), 0, &mut policy, &mut repl);
-        out.push(KernelResult {
-            name: "cache/fast_hit_memo".to_owned(),
-            ns_per_iter: calibrated_ns(|| cache.try_demand_hit(line, false), target, samples),
-        });
-        // Alternate two same-set lines so every touch misses the memo.
-        let other = LineAddr(7 + cache.geometry().sets as u64);
-        cache.fill(FillRequest::new(other), 0, &mut policy, &mut repl);
-        let mut flip = false;
-        out.push(KernelResult {
-            name: "cache/fast_hit_probe".to_owned(),
-            ns_per_iter: calibrated_ns(
-                || {
-                    flip = !flip;
-                    cache.try_demand_hit(if flip { other } else { line }, false)
-                },
-                target,
-                samples,
-            ),
-        });
-    }
-
     // EOU argmin over all 2^S SLIPs: the 4-row SIMD-style dot/argmin
     // against its scalar reference, same distribution, so the report
     // shows the widening win directly.
@@ -387,9 +340,8 @@ fn kernel_benches(quick: bool) -> Vec<KernelResult> {
     }
 
     // Trace synthesis vs materialized replay: the per-access generation
-    // cost the pipeline overlaps (pipelined) or amortizes across a
-    // group (shared), and the unpack cost that replaces it. Their ratio
-    // bounds the sweep-mode win.
+    // cost a shared buffer amortizes across a group, and the unpack
+    // cost that replaces it. Their ratio bounds the sweep-mode win.
     {
         let spec = workloads::workload("gcc").expect("known benchmark");
         let seed = config.seed;
@@ -437,8 +389,7 @@ fn system_benches(quick: bool) -> Vec<SystemResult> {
         ("gcc", PolicyKind::SlipAbp),
         ("soplex", PolicyKind::SlipAbp),
         // TLB-pressure pointer chase: translation-path wins and
-        // regressions (the hit-run scanner's TLB-residency gating,
-        // TLB and page-table costs) show up here first.
+        // regressions (TLB and page-table costs) show up here first.
         ("mcf", PolicyKind::SlipAbp),
     ];
     // Pre-generate the traces so synthesis cost stays out of the timed
@@ -480,9 +431,7 @@ fn system_benches(quick: bool) -> Vec<SystemResult> {
 /// The trace-mode A/B: one small benchmark × policy grid, executed end
 /// to end (trace handling included, `--jobs 1`) under each
 /// [`TraceMode`], repetitions interleaved round-robin so every mode
-/// sees the same measurement window. Timed on the wall clock — the
-/// pipelined mode's generation runs on a producer thread the calling
-/// thread's CPU clock cannot see.
+/// sees the same measurement window. Timed on the wall clock.
 fn sweep_mode_benches(quick: bool) -> Vec<SweepModeResult> {
     let accesses: u64 = if quick { 40_000 } else { 200_000 };
     let reps = if quick { 3 } else { 5 };
@@ -492,13 +441,8 @@ fn sweep_mode_benches(quick: bool) -> Vec<SweepModeResult> {
             .with_accesses(accesses)
     };
     let cells = (options().benchmarks.len() * options().policies.len()) as u64;
-    let modes = [
-        TraceMode::Inline,
-        TraceMode::Pipelined,
-        TraceMode::Shared,
-        TraceMode::Fused,
-    ];
-    let mut best = [f64::INFINITY; 4];
+    let modes = [TraceMode::Inline, TraceMode::Shared, TraceMode::Fused];
+    let mut best = [f64::INFINITY; 3];
     for _ in 0..reps {
         for (i, mode) in modes.iter().enumerate() {
             let sweep = SweepConfig::serial().with_trace_mode(*mode);
@@ -520,37 +464,6 @@ fn sweep_mode_benches(quick: bool) -> Vec<SweepModeResult> {
             accesses_per_sec: (cells * accesses) as f64 / secs,
         })
         .collect()
-}
-
-/// Hit-run scanner throughput: a Baseline system over a trace that
-/// stays L1-resident after its first pass — each line touched four
-/// times in a row (a cache line's worth of sequential word touches)
-/// cycling a half-capacity working set — so nearly every access
-/// retires through the batched fast path, three quarters of them off
-/// the way memo. The ceiling the scanner approaches as hit rate → 1.
-fn fastpath_run_benches(quick: bool) -> Vec<SystemResult> {
-    let accesses: u64 = if quick { 400_000 } else { 2_000_000 };
-    let reps = if quick { 3 } else { 5 };
-    let config = SystemConfig::paper_45nm(PolicyKind::Baseline);
-    let lines = (config.build_l1().geometry().total_lines() / 2) as u64;
-    let trace: Vec<cache_sim::Access> = (0..accesses)
-        .map(|i| cache_sim::Access::read(((i >> 2) % lines) * 64))
-        .collect();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let mut sys = SingleCoreSystem::new(config.clone());
-        let t = BenchClock::start();
-        sys.run(trace.iter().copied());
-        let secs = t.elapsed_secs();
-        std::hint::black_box(sys.finish("hit_run"));
-        best = best.min(secs);
-    }
-    vec![SystemResult {
-        name: "system/hit_run".to_owned(),
-        accesses,
-        wall_secs: best,
-        accesses_per_sec: accesses as f64 / best,
-    }]
 }
 
 /// The set-sharding A/B: one single run (gcc/Baseline over one
@@ -602,7 +515,6 @@ pub fn run(quick: bool) -> BenchReport {
     let kernels = kernel_benches(quick);
     let systems = system_benches(quick);
     let sweep_modes = sweep_mode_benches(quick);
-    let fastpath_runs = fastpath_run_benches(quick);
     let shard_runs = shard_run_benches(quick, host_parallelism);
     let geomean =
         systems.iter().map(|s| s.accesses_per_sec.ln()).sum::<f64>() / systems.len() as f64;
@@ -611,7 +523,6 @@ pub fn run(quick: bool) -> BenchReport {
         kernels,
         systems,
         sweep_modes,
-        fastpath_runs,
         shard_runs,
         host_parallelism,
         suite_accesses_per_sec: geomean.exp(),
@@ -663,12 +574,6 @@ mod tests {
                 accesses: 10_000,
                 wall_secs: 2.0,
                 accesses_per_sec: 5000.0,
-            }],
-            fastpath_runs: vec![SystemResult {
-                name: "system/hit_run".into(),
-                accesses: 4000,
-                wall_secs: 0.1,
-                accesses_per_sec: 40_000.0,
             }],
             shard_runs: vec![SystemResult {
                 name: "run/shards4".into(),

@@ -10,7 +10,7 @@
 //! | `SLIP_WARMUP`         | unmeasured warmup accesses           | 0 |
 //! | `SLIP_JOBS`           | sweep worker count                   | available parallelism |
 //! | `SLIP_JOURNAL`        | run-journal path (enables resume)    | unset (off) |
-//! | `SLIP_TRACE_MODE`     | trace execution: `inline` \| `pipelined` \| `shared` \| `fused` | `shared` |
+//! | `SLIP_TRACE_MODE`     | trace execution: `inline` \| `shared` \| `fused` (`pipelined` = `inline`) | `shared` |
 //! | `SLIP_TRACE_CACHE_MB` | shared-trace cache budget in MiB (0 disables sharing) | 1024 |
 //! | `SLIP_FUZZ_ITERS`     | `slip check` differential-fuzz iteration budget | unset (mode default) |
 //! | `SLIP_SHARDS`         | set-shard workers per single run (power of two; 1 = serial) | 1 |
@@ -20,7 +20,7 @@
 //! that is not a power of two (or not a number) is an error, not a
 //! silent round-down — see [`shards`].
 
-use crate::pipeline::TraceMode;
+use crate::experiments::suite::TraceMode;
 use std::path::PathBuf;
 use std::str::FromStr;
 
@@ -61,7 +61,7 @@ pub const DEFAULT_TRACE_CACHE_MB: u64 = 1024;
 
 /// Shared-trace cache budget in MiB (`SLIP_TRACE_CACHE_MB`). Groups
 /// whose materialized trace would exceed the remaining budget fall back
-/// to pipelined regeneration; 0 disables sharing entirely.
+/// to inline regeneration; 0 disables sharing entirely.
 pub fn trace_cache_mb() -> u64 {
     parse_var("SLIP_TRACE_CACHE_MB").unwrap_or(DEFAULT_TRACE_CACHE_MB)
 }

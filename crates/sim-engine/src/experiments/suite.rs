@@ -11,17 +11,16 @@
 use crate::codec;
 use crate::config::{PolicyKind, SystemConfig};
 use crate::env;
-use crate::pipeline::{run_workload_from_buffer, run_workload_pipelined, TraceMode};
 use crate::result::SimResult;
 use crate::system::run_workload_with_warmup;
-use crate::trace_cache::{TraceCacheStats, TraceKey, TraceLru};
+use crate::trace_cache::{TraceCacheStats, TraceKey, TraceLru, TraceOutcome};
 use energy_model::{HierarchySpec, TechnologyParams};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use sweep_runner::json::Value;
 use sweep_runner::SweepOptions;
-use workloads::TraceBuffer;
+use workloads::{TraceBuffer, WorkloadSpec};
 
 /// Default trace length per benchmark (overridable with the
 /// `SLIP_ACCESSES` environment variable).
@@ -166,6 +165,46 @@ impl SuiteOptions {
     }
 }
 
+/// How a sweep obtains each cell's access stream. All modes are
+/// bit-identical; they differ only in throughput.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TraceMode {
+    /// Synthesize each cell's stream inline with simulation.
+    Inline,
+    /// Materialize once per (workload, seed, length) stream in the
+    /// trace cache and replay the buffer per cell, falling back to
+    /// inline regeneration when the cache refuses the stream.
+    Shared,
+    /// Like [`Shared`](TraceMode::Shared), but all policy cells of a
+    /// benchmark step in lockstep through one decode of the buffer
+    /// ([`crate::fused`]): a fused group occupies one sweep worker and
+    /// retires every cell of the benchmark at once.
+    Fused,
+}
+
+impl TraceMode {
+    /// Parses a CLI/env spelling; `None` for unknown ones. `pipelined`
+    /// and `pipeline` name a retired mode and are accepted as
+    /// spellings of `inline`, so old journals and scripts keep working.
+    pub fn parse(s: &str) -> Option<TraceMode> {
+        match s.trim().to_ascii_lowercase().as_str() {
+            "inline" | "pipelined" | "pipeline" => Some(TraceMode::Inline),
+            "shared" => Some(TraceMode::Shared),
+            "fused" => Some(TraceMode::Fused),
+            _ => None,
+        }
+    }
+
+    /// The canonical spelling.
+    pub fn label(self) -> &'static str {
+        match self {
+            TraceMode::Inline => "inline",
+            TraceMode::Shared => "shared",
+            TraceMode::Fused => "fused",
+        }
+    }
+}
+
 /// How the suite executes (worker count, journaling) — orthogonal to
 /// *what* it runs ([`SuiteOptions`]) and, by construction, to what it
 /// produces.
@@ -193,7 +232,7 @@ pub struct SweepConfig {
     /// construction); the CLI rejects the combination outright.
     pub shards: usize,
     /// Shared-trace cache budget in MiB. A stream whose materialized
-    /// trace would exceed the whole budget falls back to pipelined
+    /// trace would exceed the whole budget falls back to inline
     /// regeneration; 0 disables sharing entirely. Ignored when
     /// [`SweepConfig::trace_cache`] supplies an external cache.
     pub trace_cache_mb: u64,
@@ -299,10 +338,15 @@ impl SweepConfig {
 /// by construction: the trace mode and cache only change *how* the
 /// access stream is produced, never its contents.
 ///
+/// A [`TraceMode::Shared`] or [`TraceMode::Fused`] cell is a buffered
+/// group of one ([`run_fused_group`]); the two modes differ only in
+/// how a sweep schedules its cells. Set-sharding (`shards > 1`, not
+/// in fused mode) splits an inline or shared cell across threads.
+///
 /// The returned result's [`SimResult::exec_mode`] names the path that
 /// actually ran — which differs from `trace_mode` whenever a mode falls
-/// back (pipelined + shards runs sharded; a cache-bypassed shared or
-/// fused stream regenerates pipelined) — so downstream A/B comparisons
+/// back (a sharded cell runs `sharded`; a cache-bypassed shared or
+/// fused stream regenerates `inline`) — so downstream A/B comparisons
 /// can't mislabel what executed.
 pub fn run_suite_cell(
     options: &SuiteOptions,
@@ -315,95 +359,52 @@ pub fn run_suite_cell(
     let spec = workloads::workload(bench).expect("known benchmark");
     let config = options.cell_config(policy);
     let shards = crate::shard::effective_shards(shards, &config);
-    let pipelined = |config: SystemConfig| {
-        run_workload_pipelined(config, &spec, options.accesses, options.warmup)
-    };
-    let (mut result, trace_source, exec_mode) = match trace_mode {
-        TraceMode::Inline if shards > 1 => (
-            crate::shard::run_workload_sharded(
-                config,
-                &spec,
-                options.accesses,
-                options.warmup,
-                shards,
-            ),
-            Some("sharded"),
-            "sharded",
-        ),
-        TraceMode::Inline => (
+    if trace_mode == TraceMode::Fused || (trace_mode == TraceMode::Shared && shards == 1) {
+        return run_group(options, bench, &[policy], cache, trace_mode.label())
+            .pop()
+            .expect("one cell in, one result out");
+    }
+    let (mut result, trace_source, exec_mode) = if shards == 1 {
+        (
             run_workload_with_warmup(config, &spec, options.accesses, options.warmup),
             None,
             "inline",
-        ),
-        // Sharding replaces the single producer/consumer pair: each
-        // shard regenerates the trace on its own thread, so pipelining
-        // would only add a redundant producer.
-        TraceMode::Pipelined if shards > 1 => (
-            crate::shard::run_workload_sharded(
+        )
+    } else {
+        let buffer = if trace_mode == TraceMode::Shared {
+            fetch_stream(&spec, config.seed, options, cache)
+        } else {
+            None
+        };
+        let result = match buffer {
+            Some((buf, _)) => {
+                crate::shard::run_buffer_sharded(config, spec.name(), &buf, options.warmup, shards)
+            }
+            None => crate::shard::run_workload_sharded(
                 config,
                 &spec,
                 options.accesses,
                 options.warmup,
                 shards,
             ),
-            Some("sharded"),
-            "sharded",
-        ),
-        TraceMode::Pipelined => (pipelined(config), Some("pipelined"), "pipelined"),
-        TraceMode::Shared => {
-            let total = options.warmup + options.accesses;
-            let key = TraceKey::new(spec.name(), config.seed, total);
-            let shared = cache.and_then(|c| {
-                c.get_or_materialize(&key, || {
-                    TraceBuffer::materialize(spec.trace(total, config.seed))
-                })
-            });
-            match shared {
-                Some((buf, _)) if shards > 1 => (
-                    crate::shard::run_buffer_sharded(
-                        config,
-                        spec.name(),
-                        &buf,
-                        options.warmup,
-                        shards,
-                    ),
-                    Some("sharded"),
-                    "sharded",
-                ),
-                Some((buf, outcome)) => (
-                    run_workload_from_buffer(config, spec.name(), &buf, options.warmup),
-                    Some(outcome.label()),
-                    "shared",
-                ),
-                None if shards > 1 => (
-                    crate::shard::run_workload_sharded(
-                        config,
-                        &spec,
-                        options.accesses,
-                        options.warmup,
-                        shards,
-                    ),
-                    Some("sharded"),
-                    "sharded",
-                ),
-                // The cache refused the stream (over budget or sharing
-                // disabled): the cell regenerated its trace instead of
-                // sharing one. "regenerated" keeps the trace tally
-                // distinct from cells *configured* to run pipelined.
-                None => (pipelined(config), Some("regenerated"), "pipelined"),
-            }
-        }
-        // A lone fused cell is a group of one; sharding is ignored in
-        // fused mode (the CLI rejects the combination).
-        TraceMode::Fused => {
-            let (result, trace_source) = run_fused_group(options, bench, &[policy], cache)
-                .pop()
-                .expect("one cell in, one result out");
-            return (result, trace_source);
-        }
+        };
+        (result, Some("sharded"), "sharded")
     };
     result.exec_mode = Some(exec_mode);
     (result, trace_source)
+}
+
+/// The cell stream's buffer from the trace cache, materialized on a
+/// miss; `None` when there is no cache or it refuses the stream.
+fn fetch_stream(
+    spec: &WorkloadSpec,
+    seed: u64,
+    options: &SuiteOptions,
+    cache: Option<&TraceLru>,
+) -> Option<(Arc<TraceBuffer>, TraceOutcome)> {
+    let total = options.warmup + options.accesses;
+    let key = TraceKey::new(spec.name(), seed, total);
+    cache?.get_or_materialize(&key, || TraceBuffer::materialize(spec.trace(total, seed)))
 }
 
 /// Runs every policy cell of one benchmark as a single fused group:
@@ -411,12 +412,12 @@ pub fn run_suite_cell(
 /// once, decoded once, and all cells step through it in lockstep
 /// ([`crate::fused::run_group_from_buffer`]). Returns one
 /// `(result, trace_source)` per policy, in order, bit-identical to the
-/// per-cell [`TraceMode::Shared`] replay.
+/// per-cell replay.
 ///
 /// A stream the cache refuses to hold (over budget, or sharing
 /// disabled with a 0 MiB budget) cannot be fused — there is no buffer
-/// to share — so the group degrades to per-cell pipelined regeneration
-/// and labels itself accordingly via [`SimResult::exec_mode`].
+/// to share — so each member regenerates its trace inline and labels
+/// itself accordingly via [`SimResult::exec_mode`].
 ///
 /// Trace-source attribution: the group performs exactly *one* stream
 /// fetch (or one regeneration per member on fallback), so only the
@@ -429,43 +430,50 @@ pub fn run_fused_group(
     policies: &[PolicyKind],
     cache: Option<&TraceLru>,
 ) -> Vec<(SimResult, Option<&'static str>)> {
+    run_group(options, bench, policies, cache, TraceMode::Fused.label())
+}
+
+/// [`run_fused_group`], labeling buffered results `exec_mode`.
+fn run_group(
+    options: &SuiteOptions,
+    bench: &str,
+    policies: &[PolicyKind],
+    cache: Option<&TraceLru>,
+    exec_mode: &'static str,
+) -> Vec<(SimResult, Option<&'static str>)> {
     let spec = workloads::workload(bench).expect("known benchmark");
     let configs: Vec<SystemConfig> = policies.iter().map(|&p| options.cell_config(p)).collect();
     let seed = configs[0].seed;
-    let total = options.warmup + options.accesses;
-    let key = TraceKey::new(spec.name(), seed, total);
-    let local;
-    let (buffer, trace_source) = match cache.and_then(|c| {
-        c.get_or_materialize(&key, || TraceBuffer::materialize(spec.trace(total, seed)))
-    }) {
+    let (buffer, trace_source) = match fetch_stream(&spec, seed, options, cache) {
         Some((buf, outcome)) => (buf, outcome.label()),
         None if cache.is_some() => {
             // The cache bypassed the stream: honor its memory budget
-            // and fall back to per-cell pipelined regeneration. Every
-            // member regenerates its own trace, so each one carries a
-            // "regenerated" label (distinct from "pipelined", which
-            // marks cells *configured* to run that way).
+            // and regenerate per cell. Every member regenerates its own
+            // trace, so each one carries a "regenerated" label.
             return configs
                 .into_iter()
                 .map(|config| {
                     let mut r =
-                        run_workload_pipelined(config, &spec, options.accesses, options.warmup);
-                    r.exec_mode = Some("pipelined");
+                        run_workload_with_warmup(config, &spec, options.accesses, options.warmup);
+                    r.exec_mode = Some("inline");
                     (r, Some("regenerated"))
                 })
                 .collect();
         }
         None => {
             // No cache supplied at all: materialize group-locally.
-            local = std::sync::Arc::new(TraceBuffer::materialize(spec.trace(total, seed)));
-            (local, "materialized")
+            let total = options.warmup + options.accesses;
+            (
+                Arc::new(TraceBuffer::materialize(spec.trace(total, seed))),
+                "materialized",
+            )
         }
     };
     crate::fused::run_group_from_buffer(configs, spec.name(), &buffer, options.warmup)
         .into_iter()
         .enumerate()
         .map(|(i, mut r)| {
-            r.exec_mode = Some("fused");
+            r.exec_mode = Some(exec_mode);
             (r, (i == 0).then_some(trace_source))
         })
         .collect()
@@ -683,6 +691,19 @@ mod tests {
     use super::*;
 
     #[test]
+    fn trace_mode_parses_canonical_and_alias_spellings() {
+        assert_eq!(TraceMode::parse("inline"), Some(TraceMode::Inline));
+        assert_eq!(TraceMode::parse(" Pipelined "), Some(TraceMode::Inline));
+        assert_eq!(TraceMode::parse("pipeline"), Some(TraceMode::Inline));
+        assert_eq!(TraceMode::parse("shared"), Some(TraceMode::Shared));
+        assert_eq!(TraceMode::parse("Fused"), Some(TraceMode::Fused));
+        assert_eq!(TraceMode::parse("magic"), None);
+        for mode in [TraceMode::Inline, TraceMode::Shared, TraceMode::Fused] {
+            assert_eq!(TraceMode::parse(mode.label()), Some(mode));
+        }
+    }
+
+    #[test]
     fn small_suite_produces_all_cells() {
         let opts = SuiteOptions::paper_full()
             .with_benchmarks(&["gcc"])
@@ -760,12 +781,7 @@ mod tests {
         };
         let reference =
             fingerprint(&SuiteResults::run_with(opts.clone(), &SweepConfig::serial()).unwrap());
-        for mode in [
-            TraceMode::Inline,
-            TraceMode::Pipelined,
-            TraceMode::Shared,
-            TraceMode::Fused,
-        ] {
+        for mode in [TraceMode::Inline, TraceMode::Shared, TraceMode::Fused] {
             for jobs in [1, 4] {
                 let sweep = SweepConfig::with_jobs(jobs).with_trace_mode(mode);
                 let suite = SuiteResults::run_with(opts.clone(), &sweep).unwrap();
@@ -864,11 +880,9 @@ mod tests {
     #[test]
     fn fused_cache_bypass_labels_each_member_regenerated() {
         // A 0 MiB cache bypasses every stream: the group cannot fuse
-        // and each member regenerates its own trace. Each member
-        // carries its own "regenerated" label (one regeneration per
-        // member really happened), distinct from "pipelined" — the
-        // label for cells *configured* to run that way — so the footer
-        // tallies no longer double up under one name.
+        // and each member regenerates its own trace inline. Each
+        // member carries its own "regenerated" label (one regeneration
+        // per member really happened).
         let opts = SuiteOptions::paper_full()
             .with_benchmarks(&["gcc"])
             .with_accesses(5_000);
@@ -877,7 +891,7 @@ mod tests {
         let group = run_fused_group(&opts, "gcc", &policies, Some(&cache));
         for (r, source) in &group {
             assert_eq!(*source, Some("regenerated"));
-            assert_eq!(r.exec_mode, Some("pipelined"));
+            assert_eq!(r.exec_mode, Some("inline"));
         }
         assert_eq!(cache.stats().bypasses, 1);
 
@@ -891,7 +905,7 @@ mod tests {
             1,
         );
         assert_eq!(source, Some("regenerated"));
-        assert_eq!(r.exec_mode, Some("pipelined"));
+        assert_eq!(r.exec_mode, Some("inline"));
     }
 
     #[test]
@@ -918,12 +932,7 @@ mod tests {
             cells
         };
         let reference = fingerprint(&SuiteResults::run_with(opts, &SweepConfig::serial()).unwrap());
-        for mode in [
-            TraceMode::Inline,
-            TraceMode::Pipelined,
-            TraceMode::Shared,
-            TraceMode::Fused,
-        ] {
+        for mode in [TraceMode::Inline, TraceMode::Shared, TraceMode::Fused] {
             for jobs in [1, 4] {
                 let sweep = SweepConfig::with_jobs(jobs).with_trace_mode(mode);
                 let suite = SuiteResults::run_with(topo.clone(), &sweep).unwrap();

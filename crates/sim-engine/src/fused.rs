@@ -1,39 +1,37 @@
-//! Fused multi-policy replay: decode the trace once, step every cell.
+//! Buffered replay: decode a materialized trace once, step every cell.
 //!
 //! A sweep's policy cells of one benchmark replay the identical packed
 //! trace. [`run_group_from_buffer`] unpacks each [`TraceBuffer`] chunk
 //! once and steps *all* the group's [`SingleCoreSystem`]s through it in
 //! lockstep, with per-cell state kept fully independent so every result
-//! is **bit-identical** to the cell's standalone
-//! [`run_workload_from_buffer`](crate::pipeline::run_workload_from_buffer)
-//! replay (held by the `fused-determinism` conformance check and the
-//! golden tests).
+//! is **bit-identical** to the cell's standalone replay (held by the
+//! `fused-determinism` conformance check and the golden tests). A
+//! single cell's replay, [`run_workload_from_buffer`], is the group of
+//! one.
 //!
-//! On top of the shared decode, groups that qualify get a shared L1:
-//! in the default non-inclusive hierarchy the L1 is **policy-invariant**
-//! — it always runs the hardcoded baseline-LRU pair, every L1 miss
-//! fills it regardless of what the lower levels decided, SLIP metadata
-//! traffic never touches it, and nothing below the L1 ever reaches back
-//! into it (back-invalidation is inclusive-only). Every cell of a
-//! same-trace group therefore drives its L1 through the *same* access
-//! and fill sequence, and since the cache substrate is a pure function
-//! of set-local history (no dependence on the cycle clock), one shared
-//! L1 instance reproduces each cell's L1 evolution exactly. The group
-//! probes it once per access and hands each cell an [`L1Verdict`];
-//! cells without per-access MMU work additionally fold runs of
-//! consecutive L1 hits into one batched update
-//! ([`SingleCoreSystem::absorb_l1_hits`]).
+//! On top of the shared decode, groups of two or more that qualify get
+//! a shared L1: in the default non-inclusive hierarchy the L1 is
+//! **policy-invariant** — it always runs the hardcoded baseline-LRU
+//! pair, every L1 miss fills it regardless of what the lower levels
+//! decided, SLIP metadata traffic never touches it, and nothing below
+//! the L1 ever reaches back into it (back-invalidation is
+//! inclusive-only). Every cell of a same-trace group therefore drives
+//! its L1 through the *same* access and fill sequence, and since the
+//! cache substrate is a pure function of set-local history (no
+//! dependence on the cycle clock), one shared L1 instance reproduces
+//! each cell's L1 evolution exactly. The group probes it once per
+//! access and hands each cell an [`L1Verdict`] for
+//! [`SingleCoreSystem::step_with`].
 //!
-//! Groups that do not qualify (inclusive LLC, heterogeneous L1
-//! geometry) still fuse the decode: each system steps the shared
-//! unpacked chunk through its ordinary [`SingleCoreSystem::step`].
+//! Groups without a shared L1 (a single cell, an inclusive LLC,
+//! heterogeneous L1 geometry) step each system through its own L1
+//! ([`SingleCoreSystem::run_chunks`]).
 //!
 //! [`run_group_observed`] is the same lockstep loop with a per-access
 //! hook between cells — the conformance fuzzer's cross-policy
 //! divergence probe for prefix minimization.
 
 use crate::config::SystemConfig;
-use crate::pipeline::CHUNK_ACCESSES;
 use crate::result::SimResult;
 use crate::system::{L1Verdict, SingleCoreSystem};
 use cache_sim::{
@@ -42,6 +40,7 @@ use cache_sim::{
 };
 use energy_model::EnergyAccount;
 use std::time::Instant;
+use workloads::buffer::DEFAULT_CHUNK_ACCESSES;
 use workloads::{unpack_access, TraceBuffer};
 
 /// Whether a group of configurations can share one L1 instance: all
@@ -64,12 +63,19 @@ pub fn shared_l1_eligible(configs: &[SystemConfig]) -> bool {
 }
 
 /// The group-shared L1: the policy-invariant baseline-LRU level every
-/// cell would have built for itself.
+/// cell would have built for itself, plus the per-chunk decode and
+/// verdicts it hands the cells.
 struct SharedL1 {
     level: CacheLevel,
     policy: BaselinePolicy,
     repl: Lru,
     scratch: FillOutcome,
+    /// The current segment, decoded once.
+    accesses: Vec<Access>,
+    /// One verdict per decoded access.
+    verdicts: Vec<VerdictRec>,
+    /// The segment's dirty L1 victims, indexed by the verdicts.
+    wbs: Vec<LineAddr>,
 }
 
 /// One access's verdict, indexing a span of `wbs` (the chunk-wide dirty
@@ -89,6 +95,9 @@ impl SharedL1 {
             policy: BaselinePolicy::new(),
             repl: Lru::new(),
             scratch: FillOutcome::default(),
+            accesses: Vec::with_capacity(DEFAULT_CHUNK_ACCESSES),
+            verdicts: Vec::with_capacity(DEFAULT_CHUNK_ACCESSES),
+            wbs: Vec::new(),
         }
     }
 
@@ -97,16 +106,6 @@ impl SharedL1 {
     /// nothing touches the L1 in between on a non-inclusive hierarchy.
     /// Dirty victims append to `wbs`; returns `(hit, latency)`.
     fn step(&mut self, access: Access, wbs: &mut Vec<LineAddr>) -> (bool, u32) {
-        if self.level.packed_lru_enabled() {
-            // SoA fast hit; a miss mutates nothing and falls into the
-            // full access below, which re-probes and records it.
-            if let Some(latency) = self
-                .level
-                .try_demand_hit(access.line(), access.kind.is_write())
-            {
-                return (true, latency);
-            }
-        }
         let r = self.level.access(
             access.line(),
             access.kind,
@@ -130,6 +129,37 @@ impl SharedL1 {
         }
     }
 
+    /// Decodes `segment` and runs every access through the L1,
+    /// recording one verdict per access.
+    fn verdict_pass(&mut self, segment: &[u64]) {
+        self.accesses.clear();
+        self.verdicts.clear();
+        let mut wbs = std::mem::take(&mut self.wbs);
+        wbs.clear();
+        for &word in segment {
+            let access = unpack_access(word);
+            let wb_start = wbs.len() as u32;
+            let (hit, latency) = self.step(access, &mut wbs);
+            self.accesses.push(access);
+            self.verdicts.push(VerdictRec {
+                hit,
+                latency,
+                wb_start,
+                wb_end: wbs.len() as u32,
+            });
+        }
+        self.wbs = wbs;
+    }
+
+    fn verdict(&self, i: usize) -> L1Verdict<'_> {
+        let v = self.verdicts[i];
+        L1Verdict {
+            hit: v.hit,
+            latency: v.latency,
+            writebacks: &self.wbs[v.wb_start as usize..v.wb_end as usize],
+        }
+    }
+
     fn reset_measurements(&mut self) {
         self.level.reset_measurements();
     }
@@ -140,101 +170,20 @@ impl SharedL1 {
     }
 }
 
-/// Reusable per-chunk scratch: the single decode plus the shared-L1
-/// verdicts over it.
-struct GroupScratch {
-    accesses: Vec<Access>,
-    verdicts: Vec<VerdictRec>,
-    wbs: Vec<LineAddr>,
-}
-
-impl GroupScratch {
-    fn new() -> GroupScratch {
-        GroupScratch {
-            accesses: Vec::with_capacity(CHUNK_ACCESSES),
-            verdicts: Vec::with_capacity(CHUNK_ACCESSES),
-            wbs: Vec::new(),
-        }
-    }
-
-    fn decode(&mut self, segment: &[u64]) {
-        self.accesses.clear();
-        self.verdicts.clear();
-        self.wbs.clear();
-        self.accesses
-            .extend(segment.iter().map(|&w| unpack_access(w)));
-    }
-
-    fn verdict<'a>(&'a self, i: usize) -> L1Verdict<'a> {
-        let v = self.verdicts[i];
-        L1Verdict {
-            hit: v.hit,
-            latency: v.latency,
-            writebacks: &self.wbs[v.wb_start as usize..v.wb_end as usize],
-        }
-    }
-}
-
-/// Steps every system of the group through one decoded segment.
-fn run_segment(
-    systems: &mut [SingleCoreSystem],
-    shared: &mut Option<SharedL1>,
-    segment: &[u64],
-    scratch: &mut GroupScratch,
-) {
-    scratch.decode(segment);
+/// Steps every system of the group through one segment.
+fn run_segment(systems: &mut [SingleCoreSystem], shared: &mut Option<SharedL1>, segment: &[u64]) {
     match shared {
         Some(l1) => {
-            for &a in &scratch.accesses {
-                let wb_start = scratch.wbs.len() as u32;
-                let (hit, latency) = l1.step(a, &mut scratch.wbs);
-                scratch.verdicts.push(VerdictRec {
-                    hit,
-                    latency,
-                    wb_start,
-                    wb_end: scratch.wbs.len() as u32,
-                });
-            }
+            l1.verdict_pass(segment);
             for sys in systems.iter_mut() {
-                if sys.has_mmu() {
-                    for (i, &a) in scratch.accesses.iter().enumerate() {
-                        // Shared-L1 hits on TLB-resident blocks batch
-                        // into the cell's pending hit run (the TLB hit
-                        // commits eagerly; the rest is a pure credit).
-                        let v = scratch.verdicts[i];
-                        if v.hit && sys.try_absorb_shared_hit(a, v.latency) {
-                            continue;
-                        }
-                        sys.step_below_l1(a, &scratch.verdict(i));
-                    }
-                } else {
-                    // Hits carry no below-L1 work for these cells, so a
-                    // run of them folds into two sums (bit-exact: the
-                    // per-hit updates are u64 additions).
-                    let mut i = 0;
-                    while i < scratch.accesses.len() {
-                        if scratch.verdicts[i].hit {
-                            let mut count = 0u64;
-                            let mut latency_sum = 0u64;
-                            while i < scratch.accesses.len() && scratch.verdicts[i].hit {
-                                count += 1;
-                                latency_sum += u64::from(scratch.verdicts[i].latency);
-                                i += 1;
-                            }
-                            sys.absorb_l1_hits(count, latency_sum);
-                        } else {
-                            sys.step_below_l1(scratch.accesses[i], &scratch.verdict(i));
-                            i += 1;
-                        }
-                    }
+                for (i, &a) in l1.accesses.iter().enumerate() {
+                    sys.step_with(a, Some(&l1.verdict(i)));
                 }
             }
         }
         None => {
             for sys in systems.iter_mut() {
-                for &a in &scratch.accesses {
-                    sys.step_fast(a);
-                }
+                sys.run_chunks([segment]);
             }
         }
     }
@@ -246,7 +195,8 @@ fn build_group(configs: Vec<SystemConfig>) -> (Vec<SingleCoreSystem>, Option<Sha
         !configs.is_empty(),
         "fused group must have at least one cell"
     );
-    let shared = shared_l1_eligible(&configs).then(|| SharedL1::new(&configs[0]));
+    let shared =
+        (configs.len() > 1 && shared_l1_eligible(&configs)).then(|| SharedL1::new(&configs[0]));
     let systems = configs.into_iter().map(SingleCoreSystem::new).collect();
     (systems, shared)
 }
@@ -289,17 +239,16 @@ pub fn run_group_from_buffer(
     warmup: u64,
 ) -> Vec<SimResult> {
     let (mut systems, mut shared) = build_group(configs);
-    let mut scratch = GroupScratch::new();
     let mut remaining = usize::try_from(warmup).expect("warmup fits usize");
     let mut chunks = buffer.chunks();
     let mut tail: &[u64] = &[];
     for chunk in chunks.by_ref() {
         if remaining >= chunk.len() {
-            run_segment(&mut systems, &mut shared, chunk, &mut scratch);
+            run_segment(&mut systems, &mut shared, chunk);
             remaining -= chunk.len();
         } else {
             let (head, rest) = chunk.split_at(remaining);
-            run_segment(&mut systems, &mut shared, head, &mut scratch);
+            run_segment(&mut systems, &mut shared, head);
             remaining = 0;
             tail = rest;
             break;
@@ -313,12 +262,27 @@ pub fn run_group_from_buffer(
         l1.reset_measurements();
     }
     let started = Instant::now();
-    run_segment(&mut systems, &mut shared, tail, &mut scratch);
+    run_segment(&mut systems, &mut shared, tail);
     for chunk in chunks {
-        run_segment(&mut systems, &mut shared, chunk, &mut scratch);
+        run_segment(&mut systems, &mut shared, chunk);
     }
     let wall = started.elapsed().as_secs_f64();
     finish_group(systems, shared, name, wall)
+}
+
+/// Runs `warmup` unmeasured then the rest measured over a materialized
+/// trace, replaying `buffer` without any regeneration: the group of
+/// one. The buffer must hold the full `warmup + len` stream of the
+/// cell.
+pub fn run_workload_from_buffer(
+    config: SystemConfig,
+    name: &str,
+    buffer: &TraceBuffer,
+    warmup: u64,
+) -> SimResult {
+    run_group_from_buffer(vec![config], name, buffer, warmup)
+        .pop()
+        .expect("one config in, one result out")
 }
 
 /// The lockstep loop with a per-access observation hook: after every
@@ -349,24 +313,15 @@ pub fn run_group_observed(
                 }
             }
             let access = unpack_access(word);
-            match &mut shared {
-                Some(l1) => {
-                    wbs.clear();
-                    let (hit, latency) = l1.step(access, &mut wbs);
-                    let verdict = L1Verdict {
-                        hit,
-                        latency,
-                        writebacks: &wbs,
-                    };
-                    for sys in &mut systems {
-                        sys.step_below_l1(access, &verdict);
-                    }
-                }
-                None => {
-                    for sys in &mut systems {
-                        sys.step(access);
-                    }
-                }
+            wbs.clear();
+            let verdict = shared.as_mut().map(|l1| l1.step(access, &mut wbs));
+            let verdict = verdict.map(|(hit, latency)| L1Verdict {
+                hit,
+                latency,
+                writebacks: &wbs,
+            });
+            for sys in &mut systems {
+                sys.step_with(access, verdict.as_ref());
             }
             if !observe(index, &systems) {
                 return None;
@@ -391,7 +346,7 @@ mod tests {
     use super::*;
     use crate::codec;
     use crate::config::PolicyKind;
-    use crate::pipeline::run_workload_from_buffer;
+    use crate::system::run_workload_with_warmup;
 
     fn fingerprint(r: &SimResult) -> String {
         codec::encode_result(r).to_json()
@@ -414,6 +369,34 @@ mod tests {
         configs[1].l1_sets = 32;
         assert!(!shared_l1_eligible(&configs));
         assert!(!shared_l1_eligible(&[]));
+    }
+
+    #[test]
+    fn shared_buffer_matches_inline_bit_exactly() {
+        let spec = workloads::workload("soplex").unwrap();
+        let config = SystemConfig::paper_45nm(PolicyKind::SlipAbp);
+        let inline = run_workload_with_warmup(config.clone(), &spec, 15_000, 2_000);
+        let buffer = TraceBuffer::materialize(spec.trace(17_000, config.seed));
+        let shared = run_workload_from_buffer(config, spec.name(), &buffer, 2_000);
+        assert_eq!(fingerprint(&inline), fingerprint(&shared));
+    }
+
+    #[test]
+    fn chunk_boundary_lengths_are_handled() {
+        // Exactly one chunk and one-over, with the warmup boundary on
+        // and off a chunk edge: segment splitting must not drop or
+        // repeat accesses, alone or in a group.
+        let spec = workloads::workload("gcc").unwrap();
+        let chunk = DEFAULT_CHUNK_ACCESSES as u64;
+        for (len, warmup) in [(chunk, 0), (chunk + 1, 0), (chunk + 1, chunk), (chunk, 7)] {
+            let configs = group_configs();
+            let buffer = TraceBuffer::materialize(spec.trace(len, configs[0].seed));
+            let group = run_group_from_buffer(configs.clone(), spec.name(), &buffer, warmup);
+            for (config, fused) in configs.into_iter().zip(&group) {
+                let inline = run_workload_with_warmup(config, &spec, len - warmup, warmup);
+                assert_eq!(fingerprint(&inline), fingerprint(fused), "len {len}");
+            }
+        }
     }
 
     #[test]

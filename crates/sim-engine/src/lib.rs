@@ -36,7 +36,6 @@ pub mod env;
 pub mod experiments;
 pub mod fused;
 pub mod multicore;
-pub mod pipeline;
 pub mod report;
 pub mod result;
 pub mod shard;
@@ -44,10 +43,9 @@ pub mod system;
 pub mod trace_cache;
 
 pub use config::{PolicyKind, ReplacementKind, SystemConfig};
-pub use experiments::suite::SweepConfig;
-pub use fused::{run_group_from_buffer, run_group_observed, shared_l1_eligible};
-pub use pipeline::{
-    run_mix_pipelined, run_workload_from_buffer, run_workload_pipelined, TraceMode,
+pub use experiments::suite::{SweepConfig, TraceMode};
+pub use fused::{
+    run_group_from_buffer, run_group_observed, run_workload_from_buffer, shared_l1_eligible,
 };
 pub use result::SimResult;
 pub use shard::{

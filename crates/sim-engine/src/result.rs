@@ -50,7 +50,7 @@ pub struct SimResult {
     /// bit-exact payload).
     pub wall_time_secs: f64,
     /// Execution path that actually produced this result (`"inline"`,
-    /// `"pipelined"`, `"shared"`, `"sharded"`, `"fused"`), so A/B
+    /// `"shared"`, `"sharded"`, `"fused"`), so A/B
     /// comparisons can't mislabel what ran when a mode falls back to
     /// another path. `None` when the run predates the label (journal
     /// restores) or bypassed the suite driver. Like `wall_time_secs`,

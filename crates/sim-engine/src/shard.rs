@@ -29,7 +29,7 @@
 //! thread).
 
 use crate::config::{PolicyKind, ReplacementKind, SystemConfig};
-use crate::pipeline::run_workload_from_buffer;
+use crate::fused::run_workload_from_buffer;
 use crate::result::SimResult;
 use crate::system::{run_workload_with_warmup, SingleCoreSystem};
 use std::time::Instant;
@@ -104,13 +104,13 @@ fn run_shard_spec(
     for _ in 0..warmup {
         let access = trace.next().expect("trace long enough for warmup");
         if access.line().0 & mask == k {
-            system.step_fast(access);
+            system.step(access);
         }
     }
     system.reset_measurements();
     for access in trace {
         if access.line().0 & mask == k {
-            system.step_fast(access);
+            system.step(access);
         }
     }
     system
@@ -135,7 +135,7 @@ fn run_shard_buffer(
             }
             index += 1;
             if (word >> 1) & mask == k {
-                system.step_fast(unpack_access(word));
+                system.step(unpack_access(word));
             }
         }
     }

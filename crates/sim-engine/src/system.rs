@@ -25,11 +25,6 @@ use workloads::WorkloadSpec;
 /// 16 pages' worth of 32 b records pack into each 64 B line.
 const METADATA_BASE_LINE: u64 = 1 << 50;
 
-/// Ceiling on the fast-path probe backoff: with near-zero L1 hit
-/// rates the scanner settles into one probe per 64 accesses (~1.5%
-/// residual overhead), while a single fast hit re-arms it instantly.
-const FAST_BACKOFF_MAX: u32 = 64;
-
 /// A complete single-core system: L1 + L2 + L3 + DRAM (+ SLIP MMU).
 pub struct SingleCoreSystem {
     config: SystemConfig,
@@ -48,26 +43,6 @@ pub struct SingleCoreSystem {
     l3_cum_caps: Vec<usize>,
     cycles: u64,
     accesses: u64,
-    /// Whether the L1 hit-run scanner is armed (`!reference_hot_path`):
-    /// [`Self::step_fast`] retires consecutive L1 hits through the SoA
-    /// fast path and defers their accounting into the pending
-    /// accumulators below, flushed before anything can observe them.
-    fast_path: bool,
-    /// Batched L1 hits not yet folded into `accesses`/`cycles`.
-    pending_hits: u64,
-    /// Summed L1 hit latencies of the pending batch.
-    pending_hit_latency: u64,
-    /// Accesses left to route straight to [`Self::step`] before the
-    /// fast path is probed again. The workload generator models reuse
-    /// at L2/L3 scale, so many benchmarks have near-zero L1 hit rates;
-    /// exponential backoff keeps the failed-probe overhead (a TLB map
-    /// lookup plus an L1 tag probe that `step` then repeats) off such
-    /// runs. Purely an execution-strategy knob: whichever path an
-    /// access takes, the result is bit-identical.
-    fast_backoff: u32,
-    /// Next backoff length after another fast-path fallback; doubles to
-    /// [`FAST_BACKOFF_MAX`], reset to 1 by any fast hit.
-    fast_penalty: u32,
     /// Reusable fill-outcome buffer: every fill at every level writes
     /// into this scratch via `fill_into`, so the steady-state access
     /// loop performs no per-access allocation.
@@ -149,7 +124,6 @@ impl SingleCoreSystem {
         let l3_cum_caps = l3_geom.cumulative_sublevel_lines();
         let l2_repl = make_repl(0x22);
         let l3_repl = make_repl(0x33);
-        let fast_path = !config.reference_hot_path;
 
         SingleCoreSystem {
             config,
@@ -168,11 +142,6 @@ impl SingleCoreSystem {
             l3_cum_caps,
             cycles: 0,
             accesses: 0,
-            fast_path,
-            pending_hits: 0,
-            pending_hit_latency: 0,
-            fast_backoff: 0,
-            fast_penalty: 1,
             fill_scratch: FillOutcome::default(),
         }
         .with_dram()
@@ -193,91 +162,30 @@ impl SingleCoreSystem {
         (page.0 & 0x3FFF) as u16
     }
 
-    /// Simulates one access, retiring L1 hit runs through the batched
-    /// fast path when armed. Bit-exact to [`Self::step`]: an access
-    /// takes the shortcut only when its whole effect is an L1 SoA hit
-    /// plus (for SLIP systems) a TLB hit on a resident block. The TLB
-    /// hit is committed eagerly — the same recency splice and credit
-    /// `translate_line` performs, whose `Translation` an L1 hit never
-    /// reads — while the access/cycle counters defer into the pending
-    /// batch (pure sums that commute with every intervening fast hit).
-    /// Anything else flushes the pending batch first and falls into
-    /// [`Self::step`].
+    /// Simulates one access through this system's own L1; advances the
+    /// cycle clock.
     #[inline]
-    pub fn step_fast(&mut self, access: cache_sim::Access) {
-        if self.fast_path && self.fast_backoff == 0 {
-            let line = access.line();
-            let resident = match &self.mmu {
-                Some(mmu) => mmu.is_resident_line(line),
-                None => true,
-            };
-            if resident {
-                if let Some(latency) = self.l1.try_demand_hit(line, access.kind.is_write()) {
-                    if let Some(mmu) = self.mmu.as_mut() {
-                        mmu.commit_resident_hit(line);
-                    }
-                    self.pending_hits += 1;
-                    self.pending_hit_latency += u64::from(latency);
-                    self.fast_penalty = 1;
-                    return;
-                }
-            }
-            self.fast_backoff = self.fast_penalty;
-            self.fast_penalty = (self.fast_penalty * 2).min(FAST_BACKOFF_MAX);
-        } else if self.fast_backoff > 0 {
-            self.fast_backoff -= 1;
-        }
-        self.flush_hit_run();
-        self.step(access);
-    }
-
-    /// Retires `n` back-to-back copies of the *same* access — the trace
-    /// runners collapse equal-neighbor runs before stepping. A run
-    /// whose first access would take the fast path retires in closed
-    /// form ([`CacheLevel::try_demand_hit_run`]); anything else replays
-    /// the run through [`Self::step_fast`] one access at a time, which
-    /// keeps the backoff evolution (and therefore every counter)
-    /// exactly as if the caller had never batched.
-    pub fn step_fast_run(&mut self, access: cache_sim::Access, n: u64) {
-        if n > 1 && self.fast_path && self.fast_backoff == 0 {
-            let line = access.line();
-            let resident = match &self.mmu {
-                Some(mmu) => mmu.is_resident_line(line),
-                None => true,
-            };
-            if resident {
-                if let Some(total) = self.l1.try_demand_hit_run(line, access.kind.is_write(), n) {
-                    if let Some(mmu) = self.mmu.as_mut() {
-                        mmu.commit_resident_hits(line, n);
-                    }
-                    self.pending_hits += n;
-                    self.pending_hit_latency += total;
-                    self.fast_penalty = 1;
-                    return;
-                }
-            }
-        }
-        for _ in 0..n {
-            self.step_fast(access);
-        }
-    }
-
-    /// Folds the pending L1 hit batch into the architectural counters:
-    /// each hit is `core_cycles_per_access + its hit latency` cycles
-    /// and one access (its TLB hit, if any, was committed when the hit
-    /// was absorbed).
-    fn flush_hit_run(&mut self) {
-        if self.pending_hits == 0 {
-            return;
-        }
-        let n = core::mem::take(&mut self.pending_hits);
-        let latency = core::mem::take(&mut self.pending_hit_latency);
-        self.accesses += n;
-        self.cycles += n * u64::from(self.config.core_cycles_per_access) + latency;
-    }
-
-    /// Simulates one access; advances the cycle clock.
     pub fn step(&mut self, access: cache_sim::Access) {
+        self.step_with(access, None);
+    }
+
+    /// Simulates one access; advances the cycle clock. The L1 verdict
+    /// comes from this system's own L1 (`shared_l1 == None`), or from a
+    /// fused group's shared L1 (see [`crate::fused`]), which already
+    /// probed and filled for this access: its latency feeds the
+    /// accounting, and the victims its fill evicted are routed down
+    /// this system's L2/L3/DRAM at the point where the system's own L1
+    /// fill would have evicted them.
+    ///
+    /// A shared L1 is only legal for non-inclusive hierarchies, where
+    /// nothing below the L1 ever reaches back into it — that is what
+    /// makes the L1 policy-invariant and thus shareable across a group.
+    #[inline]
+    pub fn step_with(&mut self, access: cache_sim::Access, shared_l1: Option<&L1Verdict<'_>>) {
+        debug_assert!(
+            shared_l1.is_none() || !self.config.inclusive_llc,
+            "shared L1 requires non-inclusive LLC"
+        );
         let line = access.line();
         let page = access.page();
         self.accesses += 1;
@@ -304,19 +212,25 @@ impl SingleCoreSystem {
 
         // --- L1 ---
         let now = self.cycles;
-        let r1 = self.l1.access(
-            line,
-            access.kind,
-            AccessClass::Demand,
-            now,
-            &mut self.l1_policy,
-            &mut self.l1_repl,
-        );
-        if let AccessResult::Hit(h) = r1 {
-            self.cycles += u64::from(latency + h.latency);
+        let (l1_hit, l1_latency) = match shared_l1 {
+            Some(v) => (v.hit, v.latency),
+            None => {
+                let r1 = self.l1.access(
+                    line,
+                    access.kind,
+                    AccessClass::Demand,
+                    now,
+                    &mut self.l1_policy,
+                    &mut self.l1_repl,
+                );
+                (r1.is_hit(), r1.latency())
+            }
+        };
+        if l1_hit {
+            self.cycles += u64::from(latency + l1_latency);
             return;
         }
-        latency += r1.latency();
+        latency += l1_latency;
 
         // --- L2 ---
         let r2 = self.l2.access(
@@ -336,7 +250,7 @@ impl SingleCoreSystem {
                         mmu.record_reuse_line(line, SlipLevel::L2, bin);
                     }
                 }
-                self.fill_l1(line, access.kind);
+                self.fill_l1(line, access.kind, shared_l1);
             }
             AccessResult::Miss { latency: l2_lat } => {
                 latency += l2_lat;
@@ -364,7 +278,7 @@ impl SingleCoreSystem {
                             }
                         }
                         self.fill_l2(line, slip_codes, sampling, page);
-                        self.fill_l1(line, access.kind);
+                        self.fill_l1(line, access.kind, shared_l1);
                     }
                     AccessResult::Miss { latency: l3_lat } => {
                         latency += l3_lat;
@@ -381,7 +295,7 @@ impl SingleCoreSystem {
                             // the line is served uncached.
                         } else {
                             self.fill_l2(line, slip_codes, sampling, page);
-                            self.fill_l1(line, access.kind);
+                            self.fill_l1(line, access.kind, shared_l1);
                         }
                     }
                 }
@@ -390,176 +304,16 @@ impl SingleCoreSystem {
         self.cycles += u64::from(latency);
     }
 
-    /// Simulates one access whose L1 interaction was precomputed by a
-    /// group-shared L1 (see [`crate::fused`]). Mirrors [`step`] exactly
-    /// with the two L1 touch points replaced by `l1`: the probe result
-    /// feeds the latency accounting, and the victims the L1 fill would
-    /// have evicted are routed down this system's own L2/L3/DRAM at the
-    /// position `fill_l1` holds in the serial sequence.
-    ///
-    /// Only legal for non-inclusive hierarchies, where nothing below
-    /// the L1 ever reaches back into it — that is what makes the L1
-    /// policy-invariant and thus shareable across a fused group.
-    ///
-    /// [`step`]: Self::step
-    pub fn step_below_l1(&mut self, access: cache_sim::Access, l1: &L1Verdict<'_>) {
-        debug_assert!(
-            !self.config.inclusive_llc,
-            "shared L1 requires non-inclusive LLC"
-        );
-        let line = access.line();
-        let page = access.page();
-        self.accesses += 1;
-        let mut latency = self.config.core_cycles_per_access;
-
-        let (slip_codes, sampling) = if let Some(mmu) = self.mmu.as_mut() {
-            let t = mmu.translate_line(line);
-            latency += t.extra_cycles;
-            if t.fetch_metadata {
-                let block = self.mmu.as_ref().expect("mmu present").block_of(line);
-                self.metadata_fetch(Self::meta_line(block));
+    /// Fills a line into L1 (write-allocate: stores dirty the L1 copy)
+    /// and routes the dirty victims down. With a shared L1 the fill
+    /// already happened; only its victims are routed.
+    fn fill_l1(&mut self, line: LineAddr, kind: AccessKind, shared_l1: Option<&L1Verdict<'_>>) {
+        if let Some(v) = shared_l1 {
+            for &wb in v.writebacks {
+                self.writeback_below_l1(wb);
             }
-            if let Some(p) = t.writeback_metadata_page {
-                self.metadata_writeback(Self::meta_line(p));
-            }
-            (t.slip_codes, t.sampling)
-        } else {
-            ([0, 0], false)
-        };
-
-        if l1.hit {
-            self.cycles += u64::from(latency + l1.latency);
             return;
         }
-        latency += l1.latency;
-
-        let now = self.cycles;
-        let r2 = self.l2.access(
-            line,
-            access.kind,
-            AccessClass::Demand,
-            now,
-            &mut self.l2_policy,
-            &mut self.l2_repl,
-        );
-        match r2 {
-            AccessResult::Hit(h2) => {
-                latency += h2.latency;
-                if sampling {
-                    let bin = bin_for_distance(h2.reuse_distance, &self.l2_cum_caps);
-                    if let Some(mmu) = self.mmu.as_mut() {
-                        mmu.record_reuse_line(line, SlipLevel::L2, bin);
-                    }
-                }
-                self.route_l1_writebacks(l1.writebacks);
-            }
-            AccessResult::Miss { latency: l2_lat } => {
-                latency += l2_lat;
-                if sampling {
-                    if let Some(mmu) = self.mmu.as_mut() {
-                        mmu.record_reuse_line(line, SlipLevel::L2, self.l2_cum_caps.len());
-                    }
-                }
-                let r3 = self.l3.access(
-                    line,
-                    access.kind,
-                    AccessClass::Demand,
-                    now,
-                    &mut self.l3_policy,
-                    &mut self.l3_repl,
-                );
-                match r3 {
-                    AccessResult::Hit(h3) => {
-                        latency += h3.latency;
-                        if sampling {
-                            let bin = bin_for_distance(h3.reuse_distance, &self.l3_cum_caps);
-                            if let Some(mmu) = self.mmu.as_mut() {
-                                mmu.record_reuse_line(line, SlipLevel::L3, bin);
-                            }
-                        }
-                        self.fill_l2(line, slip_codes, sampling, page);
-                        self.route_l1_writebacks(l1.writebacks);
-                    }
-                    AccessResult::Miss { latency: l3_lat } => {
-                        latency += l3_lat;
-                        if sampling {
-                            if let Some(mmu) = self.mmu.as_mut() {
-                                mmu.record_reuse_line(line, SlipLevel::L3, self.l3_cum_caps.len());
-                            }
-                        }
-                        latency += self.dram.read_line();
-                        self.fill_l3(line, slip_codes, sampling, page);
-                        self.fill_l2(line, slip_codes, sampling, page);
-                        self.route_l1_writebacks(l1.writebacks);
-                    }
-                }
-            }
-        }
-        self.cycles += u64::from(latency);
-    }
-
-    /// Dirty victims of the shared L1's fill, routed down this system's
-    /// hierarchy exactly where its own `fill_l1` would have.
-    fn route_l1_writebacks(&mut self, writebacks: &[LineAddr]) {
-        for &wb in writebacks {
-            self.writeback_below_l1(wb);
-        }
-    }
-
-    /// Credits a run of consecutive L1 hits in one step. Only exact for
-    /// systems without an MMU (no translation work per access): each
-    /// hit contributes `core_cycles_per_access + its L1 hit latency`
-    /// cycles and nothing else, so a batch folds to two sums.
-    pub fn absorb_l1_hits(&mut self, count: u64, latency_sum: u64) {
-        debug_assert!(
-            self.mmu.is_none(),
-            "hit batching requires no per-access MMU work"
-        );
-        self.accesses += count;
-        self.cycles += count * u64::from(self.config.core_cycles_per_access) + latency_sum;
-    }
-
-    /// Whether this system carries a per-access MMU (the SLIP
-    /// policies); such systems cannot batch L1 hit runs.
-    pub fn has_mmu(&self) -> bool {
-        self.mmu.is_some()
-    }
-
-    /// Fused-group fast path for an MMU-carrying cell: attempts to
-    /// retire an access the shared L1 already verdicted as a hit (at
-    /// `hit_latency`) as a committed TLB hit plus a batched
-    /// access/cycle credit. Returns `false` when the scanner is off or
-    /// the line's block is not TLB-resident; the caller then takes the
-    /// full [`Self::step_below_l1`] path. Deferring the batch across
-    /// that path is exact — the pending credits are pure counter adds
-    /// that nothing below the L1 reads — but a non-resident line
-    /// flushes eagerly anyway to keep batch lifetimes short.
-    pub fn try_absorb_shared_hit(&mut self, access: cache_sim::Access, hit_latency: u32) -> bool {
-        if !self.fast_path {
-            return false;
-        }
-        if self.fast_backoff > 0 {
-            self.fast_backoff -= 1;
-            self.flush_hit_run();
-            return false;
-        }
-        if let Some(mmu) = self.mmu.as_mut() {
-            if !mmu.is_resident_line(access.line()) {
-                self.fast_backoff = self.fast_penalty;
-                self.fast_penalty = (self.fast_penalty * 2).min(FAST_BACKOFF_MAX);
-                self.flush_hit_run();
-                return false;
-            }
-            mmu.commit_resident_hit(access.line());
-        }
-        self.pending_hits += 1;
-        self.pending_hit_latency += u64::from(hit_latency);
-        self.fast_penalty = 1;
-        true
-    }
-
-    /// Fills a line into L1 (write-allocate: stores dirty the L1 copy).
-    fn fill_l1(&mut self, line: LineAddr, kind: AccessKind) {
         let mut req = FillRequest::new(line);
         req.dirty = kind.is_write();
         let now = self.cycles;
@@ -728,52 +482,23 @@ impl SingleCoreSystem {
         self.dram.write_metadata();
     }
 
-    /// Runs a whole trace (through the hit-run scanner when armed),
-    /// collapsing runs of identical accesses into single
-    /// [`Self::step_fast_run`] calls.
+    /// Runs a whole trace.
     pub fn run<I: IntoIterator<Item = cache_sim::Access>>(&mut self, trace: I) {
-        let mut trace = trace.into_iter();
-        let Some(mut current) = trace.next() else {
-            self.flush_hit_run();
-            return;
-        };
-        let mut n: u64 = 1;
         for access in trace {
-            if access == current {
-                n += 1;
-            } else {
-                self.step_fast_run(current, n);
-                current = access;
-                n = 1;
-            }
+            self.step(access);
         }
-        self.step_fast_run(current, n);
-        self.flush_hit_run();
     }
 
     /// Runs a materialized trace chunk by chunk. Each chunk holds
     /// packed words (see [`workloads::pack_access`]); the access stream
     /// is the chunks' concatenation, identical to
-    /// [`run`](Self::run) over the trace they were packed from —
-    /// equal-neighbor runs collapse across chunk boundaries too.
+    /// [`run`](Self::run) over the trace they were packed from.
     pub fn run_chunks<'a, I: IntoIterator<Item = &'a [u64]>>(&mut self, chunks: I) {
-        let mut pending: Option<(u64, u64)> = None; // (packed word, run length)
         for chunk in chunks {
             for &word in chunk {
-                pending = match pending {
-                    Some((w, n)) if w == word => Some((w, n + 1)),
-                    Some((w, n)) => {
-                        self.step_fast_run(workloads::unpack_access(w), n);
-                        Some((word, 1))
-                    }
-                    None => Some((word, 1)),
-                };
+                self.step(workloads::unpack_access(word));
             }
         }
-        if let Some((w, n)) = pending {
-            self.step_fast_run(workloads::unpack_access(w), n);
-        }
-        self.flush_hit_run();
     }
 
     /// Clears all statistics and energy accounting while keeping the
@@ -781,10 +506,6 @@ impl SingleCoreSystem {
     /// states). Call after a warmup run so measurements reflect steady
     /// state, as the paper's simpoint methodology does.
     pub fn reset_measurements(&mut self) {
-        // Warmup hits must be fully retired (the TLB hit counter they
-        // credit is architectural bookkeeping the reference run also
-        // performs before its counters are zeroed).
-        self.flush_hit_run();
         self.l1.reset_measurements();
         self.l2.reset_measurements();
         self.l3.reset_measurements();
@@ -806,8 +527,6 @@ impl SingleCoreSystem {
             other.mmu.is_none(),
             "SLIP systems carry global MMU state and cannot be sharded"
         );
-        self.flush_hit_run();
-        other.flush_hit_run();
         self.l1.absorb_stats(&mut other.l1);
         self.l2.absorb_stats(&mut other.l2);
         self.l3.absorb_stats(&mut other.l3);
@@ -818,7 +537,6 @@ impl SingleCoreSystem {
 
     /// Finalizes statistics and extracts the result.
     pub fn finish(mut self, workload: impl Into<String>) -> SimResult {
-        self.flush_hit_run();
         self.l1.finalize();
         self.l2.finalize();
         self.l3.finalize();
@@ -853,14 +571,7 @@ impl SingleCoreSystem {
     /// at every level — so the first step where two probes differ
     /// localizes a divergence without a full result comparison.
     pub fn probe(&self) -> (u64, u64) {
-        // Fold the pending hit batch in on the fly so probes are
-        // meaningful mid-run without forcing a flush.
-        (
-            self.accesses + self.pending_hits,
-            self.cycles
-                + self.pending_hits * u64::from(self.config.core_cycles_per_access)
-                + self.pending_hit_latency,
-        )
+        (self.accesses, self.cycles)
     }
 
     /// Read access to the L2 (for tests).
@@ -886,7 +597,7 @@ enum FillLevel {
 
 /// The L1 interaction of one demand access, computed once on a fused
 /// group's shared L1 and consumed by every cell's
-/// [`SingleCoreSystem::step_below_l1`].
+/// [`SingleCoreSystem::step_with`].
 #[derive(Debug)]
 pub struct L1Verdict<'a> {
     /// Whether the access hit the L1.
@@ -917,7 +628,7 @@ pub fn run_workload_with_warmup(
     let mut trace = spec.trace(warmup + len, seed);
     for _ in 0..warmup {
         let access = trace.next().expect("trace long enough for warmup");
-        system.step_fast(access);
+        system.step(access);
     }
     system.reset_measurements();
     let started = std::time::Instant::now();

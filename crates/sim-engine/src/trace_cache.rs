@@ -16,7 +16,7 @@
 //! Every outcome is counted ([`TraceCacheStats`]): `hits` (buffer was
 //! resident, including waits on an in-flight build), `misses` (this
 //! call materialized), `evictions`, and `bypasses` (stream larger than
-//! the whole budget — the caller regenerates pipelined instead).
+//! the whole budget — the caller regenerates inline instead).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -186,7 +186,7 @@ impl TraceLru {
 
     /// The shared buffer for `key`, materializing it via `materialize`
     /// on first use. `None` means the stream cannot fit the budget at
-    /// all — the caller must regenerate (pipelined) instead.
+    /// all — the caller must regenerate inline instead.
     pub fn get_or_materialize(
         &self,
         key: &TraceKey,

@@ -6,7 +6,7 @@ use sim_engine::codec;
 use sim_engine::config::{PolicyKind, SystemConfig};
 use sim_engine::experiments::{SuiteOptions, SuiteResults};
 use sim_engine::multicore::{run_mix, MulticoreResult};
-use sim_engine::{run_mix_pipelined, SweepConfig, TraceMode};
+use sim_engine::{SweepConfig, TraceMode};
 
 const LEN: u64 = 25_000;
 
@@ -47,25 +47,6 @@ fn mixes_are_bit_identical_across_worker_counts() {
 }
 
 #[test]
-fn pipelined_mixes_match_inline_bit_exactly() {
-    for ((a, b), policy) in cells() {
-        let spec_a = workloads::workload(a).expect("known benchmark");
-        let spec_b = workloads::workload(b).expect("known benchmark");
-        let inline = run_mix(SystemConfig::paper_45nm(policy), &spec_a, &spec_b, LEN);
-        let piped = run_mix_pipelined(SystemConfig::paper_45nm(policy), &spec_a, &spec_b, LEN);
-        assert_eq!(
-            fingerprint(&inline),
-            fingerprint(&piped),
-            "mix ({a}, {b}) under {policy:?} diverges between inline and pipelined traces"
-        );
-        // Spot-check the fields Figure 16 is built from.
-        assert_eq!(inline.l3_energy, piped.l3_energy);
-        assert_eq!(inline.dram_total_traffic, piped.dram_total_traffic);
-        assert_eq!(inline.l3_stats.demand_hits, piped.l3_stats.demand_hits);
-    }
-}
-
-#[test]
 fn repeated_mixes_are_bit_identical() {
     let cell = (workloads::MULTICORE_MIXES[0], PolicyKind::SlipAbp);
     assert_eq!(fingerprint(&run_cell(cell)), fingerprint(&run_cell(cell)));
@@ -73,7 +54,7 @@ fn repeated_mixes_are_bit_identical() {
 
 /// The shared-trace suite path (the default `TraceMode`) must agree
 /// bit-for-bit with inline generation and stay deterministic across
-/// worker counts; the three modes differ only in throughput.
+/// worker counts; the modes differ only in throughput.
 #[test]
 fn shared_trace_mode_is_deterministic_and_matches_inline() {
     let options = || {

@@ -1,8 +1,8 @@
-//! Golden equivalence of the trace pipeline: inline, pipelined,
-//! shared-`Arc<TraceBuffer>`, and fused execution must produce
-//! bit-identical `SimResult`s for the benchmark × policy grid — at one
-//! and four workers, unsharded and set-sharded — and a journal resume
-//! across a shared-trace group must stay deterministic. The anchor is
+//! Golden equivalence of the trace modes: inline, shared-
+//! `Arc<TraceBuffer>`, and fused execution must produce bit-identical
+//! `SimResult`s for the benchmark × policy grid — at one and four
+//! workers, unsharded and set-sharded — and a journal resume across a
+//! shared-trace group must stay deterministic. The anchor is
 //! the seed golden: each cell re-run through the verbatim reference hot
 //! path (`reference_hot_path = true`), compared by its exact journal
 //! payload text, the same fingerprint the determinism tier-1 test uses.
@@ -12,6 +12,7 @@ use sim_engine::config::PolicyKind;
 use sim_engine::experiments::{SuiteOptions, SuiteResults};
 use sim_engine::system::run_workload_with_warmup;
 use sim_engine::{SweepConfig, TraceMode};
+use sweep_runner::json::Value;
 
 fn grid_options() -> SuiteOptions {
     SuiteOptions::paper_full()
@@ -70,7 +71,7 @@ fn reference_goldens(suite: &SuiteResults) -> Vec<String> {
 fn all_modes_agree_with_the_seed_golden_across_jobs_and_shards() {
     // Anchor: the reference path, cell by cell. Everything else — every
     // trace mode, worker count, and shard count, all of which run the
-    // batched fast path by default — must reproduce it bit for bit.
+    // optimized hot path by default — must reproduce it bit for bit.
     let inline = SuiteResults::run_with(
         grid_options(),
         &SweepConfig::with_jobs(1).with_trace_mode(TraceMode::Inline),
@@ -82,12 +83,7 @@ fn all_modes_agree_with_the_seed_golden_across_jobs_and_shards() {
         reference,
         "inline serial diverges from the reference-path seed golden"
     );
-    for mode in [
-        TraceMode::Inline,
-        TraceMode::Pipelined,
-        TraceMode::Shared,
-        TraceMode::Fused,
-    ] {
+    for mode in [TraceMode::Inline, TraceMode::Shared, TraceMode::Fused] {
         for jobs in [1, 4] {
             // Fused groups own their worker and ignore shards; running
             // the shards=2 leg anyway asserts exactly that.
@@ -103,25 +99,59 @@ fn all_modes_agree_with_the_seed_golden_across_jobs_and_shards() {
     }
 }
 
-#[test]
-fn zero_cache_budget_falls_back_without_changing_results() {
-    let reference = run(TraceMode::Inline, 1, 1);
-    let starved = SweepConfig {
-        trace_cache_mb: 0,
-        ..SweepConfig::with_jobs(2).with_trace_mode(TraceMode::Shared)
-    };
-    let suite = SuiteResults::run_with(grid_options(), &starved).unwrap();
-    assert_eq!(fingerprints(&suite), reference);
-}
-
-#[test]
-fn journal_resume_across_a_shared_trace_group_is_deterministic() {
+/// A scratch directory unique to this process and test thread.
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
-        "slip-trace-pipeline-{}-{:?}",
+        "slip-trace-pipeline-{tag}-{}-{:?}",
         std::process::id(),
         std::thread::current().id()
     ));
     std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+#[test]
+fn zero_cache_budget_falls_back_without_changing_results() {
+    // A 0 MiB cache refuses every stream, so shared and fused sweeps
+    // alike regenerate each cell inline — through the same fallback —
+    // and say so in the journal.
+    let suite = SuiteResults::run_with(
+        grid_options(),
+        &SweepConfig::with_jobs(1).with_trace_mode(TraceMode::Inline),
+    )
+    .unwrap();
+    let reference = reference_goldens(&suite);
+    let dir = scratch_dir("zero-cache");
+    for mode in [TraceMode::Shared, TraceMode::Fused] {
+        let journal = dir.join(format!("{}.jsonl", mode.label()));
+        let starved = SweepConfig {
+            trace_cache_mb: 0,
+            journal: Some(journal.clone()),
+            ..SweepConfig::with_jobs(2).with_trace_mode(mode)
+        };
+        let suite = SuiteResults::run_with(grid_options(), &starved).unwrap();
+        assert_eq!(fingerprints(&suite), reference, "{}", mode.label());
+        let text = std::fs::read_to_string(&journal).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), reference.len(), "{}", mode.label());
+        for line in lines {
+            let record = Value::parse(line).unwrap();
+            let metrics = record.get("metrics").unwrap();
+            let label = |k: &str| metrics.get(k).and_then(|v| v.as_str()).map(str::to_owned);
+            assert_eq!(label("exec_mode").as_deref(), Some("inline"), "{line}");
+            assert_eq!(
+                label("trace_source").as_deref(),
+                Some("regenerated"),
+                "{line}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn journal_resume_across_a_shared_trace_group_is_deterministic() {
+    let dir = scratch_dir("resume");
     let journal = dir.join("suite.jsonl");
 
     // First pass: run only part of the gcc group (baseline + SLIP), so

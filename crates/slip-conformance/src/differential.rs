@@ -8,9 +8,9 @@
 //! (`SystemConfig::reference_hot_path = true`: line-array probes and
 //! the allocating f64 EOU loop) and through the *optimized* paths (SWAR
 //! tag filter, fused q16-distribution EOU kernel) in several execution
-//! modes — inline stepping, chunked replay from a packed
-//! [`TraceBuffer`], and (for workload-spec iterations) the pipelined
-//! producer thread. The full [`sim_engine::SimResult`] of every variant
+//! modes — inline stepping and chunked replay from a packed
+//! [`TraceBuffer`], the latter also for workload-spec iterations. The
+//! full [`sim_engine::SimResult`] of every variant
 //! is compared bit-exactly via the JSON codec, which excludes only wall
 //! time.
 //!
@@ -24,9 +24,8 @@ use cache_sim::rng::SplitMix64;
 use cache_sim::Access;
 use sim_engine::codec;
 use sim_engine::config::{PolicyKind, ReplacementKind, SystemConfig};
-use sim_engine::pipeline::{run_workload_from_buffer, run_workload_pipelined};
 use sim_engine::system::run_workload_with_warmup;
-use sim_engine::SingleCoreSystem;
+use sim_engine::{run_workload_from_buffer, SingleCoreSystem};
 use slip_core::EouObjective;
 use workloads::TraceBuffer;
 
@@ -50,8 +49,8 @@ pub struct Scenario {
     /// Trace length in accesses.
     pub len: u64,
     /// `Some(benchmark)` for iterations that exercise the
-    /// workload-spec-driven paths (pipelined producer) instead of an
-    /// adversarial trace.
+    /// workload-spec-driven paths (spec-generated trace, packed-buffer
+    /// replay) instead of an adversarial trace.
     pub benchmark: Option<&'static str>,
 }
 
@@ -81,8 +80,8 @@ impl Scenario {
         } else {
             EouObjective::InsertionAware
         };
-        // Every 5th iteration drives the workload-spec paths (pipelined
-        // producer + packed-buffer replay) with a real benchmark trace.
+        // Every 5th iteration drives the workload-spec paths (packed-
+        // buffer replay) with a real benchmark trace.
         let benchmark = if iteration % 5 == 4 {
             let names = workloads::BENCHMARK_NAMES;
             Some(names[rng.next_below(names.len() as u64) as usize])
@@ -321,9 +320,8 @@ fn fuzz_adversarial(
 }
 
 /// Workload-spec iteration: the spec-driven reference run vs the
-/// pipelined producer and the packed-buffer replay. These three build
-/// the identical trace from `(spec, seed)`, so their results must be
-/// bit-identical too.
+/// packed-buffer replay. Both build the identical trace from
+/// `(spec, seed)`, so their results must be bit-identical too.
 fn fuzz_workload(
     iteration: u64,
     scenario: &Scenario,
@@ -341,26 +339,6 @@ fn fuzz_workload(
         warmup,
     ))
     .to_json();
-    let pipelined = codec::encode_result(&run_workload_pipelined(
-        scenario.config(false),
-        &spec,
-        len,
-        warmup,
-    ))
-    .to_json();
-    if pipelined != reference {
-        findings.push(Divergence {
-            iteration,
-            scenario: scenario.describe(),
-            variant: "optimized-pipelined",
-            // The producer thread is internal to the pipelined runner;
-            // prefixes cannot be replayed through it, so report the
-            // divergence unminimized.
-            minimized_len: None,
-            offending: None,
-            repro: repro.to_string(),
-        });
-    }
     let buffer = TraceBuffer::materialize(spec.trace(warmup + len, scenario.config_seed));
     let buffered = codec::encode_result(&run_workload_from_buffer(
         scenario.config(false),

@@ -1,25 +1,19 @@
-//! Fast-path determinism check: the batched L1-resident fast path
-//! (SoA set layout, hit-run scanner, way memo, TLB-residency gate)
-//! must be bit-identical to the verbatim reference path.
+//! Fast-path determinism check: the optimized hot path (SoA L1 with
+//! packed LRU stacks, SWAR tag filter, q16 EOU kernel) must be
+//! bit-identical to the verbatim reference path.
 //!
 //! This is the conformance-side guarantee backing the default
 //! execution path: `reference_hot_path = false` is purely an execution
 //! strategy, never a modeling change. The check replays adversarial
-//! trace families — the repeat-heavy ones that exercise the way memo
-//! and hit-run batching hardest, plus tag aliases, address edges, and
-//! TLB thrash that stress its invalidation and residency gating —
-//! through three executions per case:
-//!
-//! 1. the reference path (`reference_hot_path = true`),
-//! 2. the optimized buffer replay (`run_chunks` + hit-run scanner),
-//! 3. the optimized per-access inline loop (`step_fast` directly),
-//!
-//! and compares all encoded results byte for byte.
+//! trace families — repeat-heavy loops and conflict storms that drive
+//! the packed LRU stacks hardest, plus tag aliases, address edges, and
+//! TLB thrash — through the reference path (`reference_hot_path =
+//! true`) and the optimized buffer replay (`run_chunks`), and compares
+//! the encoded results byte for byte.
 
 use crate::adversarial::{self, Pattern};
 use crate::invariants::Violation;
 use sim_engine::config::{PolicyKind, SystemConfig};
-use sim_engine::system::SingleCoreSystem;
 use sim_engine::{codec, run_workload_from_buffer};
 use workloads::TraceBuffer;
 
@@ -44,35 +38,10 @@ fn first_difference(a: &str, b: &str) -> String {
     )
 }
 
-/// Inline per-access replay through the hit-run scanner: the warmup
-/// boundary and finish sequence of `run_workload_from_buffer`, but
-/// stepping `step_fast` on unpacked accesses instead of whole chunks.
-fn run_inline_fast(
-    config: SystemConfig,
-    name: &str,
-    buffer: &TraceBuffer,
-    warmup: u64,
-) -> sim_engine::SimResult {
-    let mut system = SingleCoreSystem::new(config);
-    let mut index = 0u64;
-    for chunk in buffer.chunks() {
-        for &word in chunk {
-            if index == warmup {
-                system.reset_measurements();
-            }
-            index += 1;
-            system.step_fast(workloads::unpack_access(word));
-        }
-    }
-    assert!(index >= warmup, "trace long enough for warmup");
-    system.finish(name.to_owned())
-}
-
 /// Replays one adversarial trace per (pattern, policy) case through the
-/// reference path and two fast-path executions, requiring bit-identical
-/// encoded results. A slice of the trace is treated as warmup so
-/// flushing the pending hit run at the measurement boundary is
-/// exercised as well.
+/// reference path and the optimized buffer replay, requiring
+/// bit-identical encoded results. A slice of the trace is treated as
+/// warmup so the measurement reset is exercised as well.
 pub fn check_fastpath_determinism(seed: u64, trace_len: u64, quiet: bool) -> Result<(), Violation> {
     let cases: [(Pattern, PolicyKind, Option<sim_engine::ReplacementKind>); 7] = [
         (Pattern::SingleLineLoop, PolicyKind::Baseline, None),
@@ -108,29 +77,21 @@ pub fn check_fastpath_determinism(seed: u64, trace_len: u64, quiet: bool) -> Res
         .to_json();
 
         debug_assert!(!config.reference_hot_path);
-        for (mode, result) in [
-            (
-                "buffer replay",
-                run_workload_from_buffer(config.clone(), &scenario, &buffer, warmup),
-            ),
-            (
-                "inline step_fast",
-                run_inline_fast(config.clone(), &scenario, &buffer, warmup),
-            ),
-        ] {
-            let got = codec::encode_result(&result).to_json();
-            if got != want {
-                return Err(Violation {
-                    invariant: "fastpath-determinism",
-                    scenario,
-                    step: None,
-                    detail: format!(
-                        "optimized {mode} is not bit-identical to the reference path \
-                         (seed {seed:#x}, {trace_len} accesses, warmup {warmup});\n  {}",
-                        first_difference(&want, &got)
-                    ),
-                });
-            }
+        let got = codec::encode_result(&run_workload_from_buffer(
+            config, &scenario, &buffer, warmup,
+        ))
+        .to_json();
+        if got != want {
+            return Err(Violation {
+                invariant: "fastpath-determinism",
+                scenario,
+                step: None,
+                detail: format!(
+                    "optimized buffer replay is not bit-identical to the reference path \
+                     (seed {seed:#x}, {trace_len} accesses, warmup {warmup});\n  {}",
+                    first_difference(&want, &got)
+                ),
+            });
         }
     }
     Ok(())

@@ -22,7 +22,7 @@
 use crate::adversarial::{self, Pattern};
 use crate::invariants::Violation;
 use sim_engine::config::{PolicyKind, SystemConfig};
-use sim_engine::pipeline::run_workload_from_buffer;
+use sim_engine::run_workload_from_buffer;
 use sim_engine::{codec, run_group_from_buffer, run_group_observed, SingleCoreSystem};
 use workloads::TraceBuffer;
 

@@ -19,7 +19,7 @@ use crate::invariants::Violation;
 use sim_engine::codec;
 use sim_engine::experiments::suite::SweepConfig;
 use sim_engine::experiments::SuiteResults;
-use sim_engine::pipeline::TraceMode;
+use sim_engine::TraceMode;
 use slip_serve::{client, Server, ServerConfig, SweepSpec};
 use std::path::Path;
 

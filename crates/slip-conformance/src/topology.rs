@@ -7,8 +7,8 @@
 //!    spec with the same canonical text and fingerprint, so journal
 //!    keys and dedup hashes derived from the text are stable.
 //! 2. **Run-mode matrix** — a small suite on the spec is bit-identical
-//!    across every trace mode (inline, pipelined, shared, fused) and
-//!    a sharded run, against the serial shared reference. The spec
+//!    across every trace mode (inline, shared, fused) and a sharded
+//!    run, against the serial shared reference. The spec
 //!    only changes *what* hierarchy is simulated, never lets an
 //!    execution strategy leak into results.
 //! 3. **45 nm equivalence** — `--topology 45nm` is bit-identical to
@@ -94,10 +94,6 @@ pub fn check_spec_determinism(
         (
             "inline",
             SweepConfig::serial().with_trace_mode(TraceMode::Inline),
-        ),
-        (
-            "pipelined",
-            SweepConfig::serial().with_trace_mode(TraceMode::Pipelined),
         ),
         (
             "fused",

@@ -39,8 +39,8 @@ use crate::protocol::{Frame, Request, SweepSpec};
 use sim_engine::config::PolicyKind;
 use sim_engine::experiments::suite::{run_fused_group, run_suite_cell};
 use sim_engine::experiments::SuiteOptions;
-use sim_engine::pipeline::TraceMode;
 use sim_engine::trace_cache::TraceLru;
+use sim_engine::TraceMode;
 use sim_engine::{codec, env};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};

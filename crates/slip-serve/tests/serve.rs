@@ -9,6 +9,7 @@ use slip_serve::{client, Server, ServerConfig, SweepSpec};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::thread::JoinHandle;
+use sweep_runner::json::Value;
 
 /// A scratch directory under `target/` (the sandbox may not allow
 /// `/tmp`), unique per test.
@@ -295,6 +296,64 @@ fn unknown_run_and_bad_requests_get_error_frames() {
     )
     .unwrap_err();
     assert!(err.to_string().contains("not-a-benchmark"), "{err}");
+
+    client::shutdown(addr).expect("shutdown");
+    server.join().unwrap();
+}
+
+#[test]
+fn journal_from_a_pipelined_server_resumes_under_the_default_mode() {
+    // A journal written by a server that ran `--trace-mode pipelined`
+    // (a mode since folded into inline): its `__spec__` record names
+    // the old mode, and one cell was journaled before it stopped.
+    let dir = scratch("pipelined-journal");
+    let spec = small_spec();
+    let run_id = spec.run_id().expect("spec hashes");
+    let expected = offline_payloads(&spec, 1);
+    {
+        let journal = sweep_runner::journal::Journal::open(dir.join(format!("{run_id}.jsonl")))
+            .expect("open journal");
+        let how = Value::object()
+            .with("trace_mode", Value::str("pipelined"))
+            .with("shards", Value::u64(1))
+            .with("jobs", Value::u64(2));
+        journal
+            .record("__spec__", 0.0, how, spec.to_value())
+            .expect("record spec");
+        let (key, payload) = &expected[0];
+        let metrics = Value::object()
+            .with("exec_mode", Value::str("pipelined"))
+            .with("trace_source", Value::str("pipelined"));
+        journal
+            .record(key, 1.0, metrics, Value::parse(payload).unwrap())
+            .expect("record cell");
+    }
+
+    let (addr, server) = start_server(2, &dir);
+    let mut resumed = client::resume(addr, &run_id, 0).expect("resume old journal");
+    assert_eq!(resumed.run_id, run_id);
+    let cells = resumed.collect_cells().expect("resumed cells");
+    let got: Vec<(String, String)> = cells
+        .iter()
+        .map(|(_, k, p)| (k.clone(), p.to_json()))
+        .collect();
+    assert_eq!(got, expected, "resumed stream is bit-identical to offline");
+    let done = resumed.done().unwrap();
+    assert_eq!(done.restored, 1);
+    assert_eq!(done.executed, expected.len() as u64 - 1);
+
+    // Resubmitting the spec lands on the same run and re-executes
+    // nothing.
+    let mut again = client::submit(addr, &spec).expect("resubmit");
+    assert_eq!(again.run_id, run_id);
+    let cells = again.collect_cells().expect("resubmitted cells");
+    assert_eq!(cells.len(), expected.len());
+    assert_eq!(again.done().unwrap().executed, 0);
+    let stats = client::stats(addr).expect("stats");
+    assert_eq!(
+        stats.get("cells_executed").and_then(|v| v.as_u64()),
+        Some(expected.len() as u64 - 1)
+    );
 
     client::shutdown(addr).expect("shutdown");
     server.join().unwrap();

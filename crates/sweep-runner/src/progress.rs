@@ -36,7 +36,7 @@ struct Aggregate {
     /// cache-bypass fallbacks), in first-seen order.
     trace_sources: Vec<(String, usize)>,
     /// Cells counted per `exec_mode` metric label (the execution path
-    /// that actually ran — `fused`, `sharded`, `pipelined`, ... — which
+    /// that actually ran — `fused`, `sharded`, `inline`, ... — which
     /// can differ from the requested mode on fallback), in first-seen
     /// order.
     exec_modes: Vec<(String, usize)>,

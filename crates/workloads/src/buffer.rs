@@ -20,7 +20,7 @@ use cache_sim::{Access, AccessKind};
 /// Default chunk length in accesses (32 Ki accesses = 256 KiB packed).
 ///
 /// Large enough that per-chunk bookkeeping vanishes, small enough that
-/// a producer/consumer ring of a few chunks stays cache- and
+/// a fused group's per-chunk decode and L1 verdicts stay cache- and
 /// memory-friendly.
 pub const DEFAULT_CHUNK_ACCESSES: usize = 1 << 15;
 

@@ -21,13 +21,19 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# The benchmark harness links the workspace crates by path and has its
+# own workspace; its tests pin the result digests and the public API it
+# calls, so a refactor of that API cannot break the benchmark silently.
+echo "==> cargo test --release --offline -q --manifest-path perfbench/Cargo.toml"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 # Conformance gate: bounded differential fuzz + invariant sweep
 # (including the shard-, fused-, fastpath-, and topology-determinism
-# checks: the sharded/fused executions, the batched L1 fast path — the
-# default hot path since PR 9 — and every built-in hierarchy spec must
-# be bit-identical to the verbatim reference over the adversarial
-# trace families) at a fixed seed, so every run covers the identical
-# scenario set. --topology stt-llc additionally drives the asymmetric
+# checks: the sharded and fused executions, the optimized hot path —
+# SoA L1 with packed LRU stacks, SWAR tag filter, q16 EOU kernel — and
+# every built-in hierarchy spec must be bit-identical to the verbatim
+# reference over the adversarial trace families) at a fixed seed, so
+# every run covers the identical scenario set. --topology stt-llc additionally drives the asymmetric
 # STT-RAM node through the CLI spec-loading path and holds it to the
 # same run-mode determinism bar. Override the iteration budget with
 # SLIP_FUZZ_ITERS if the default is too slow on a given machine. The
