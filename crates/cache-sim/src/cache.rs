@@ -59,154 +59,24 @@ impl AccessResult {
     }
 }
 
-/// A small reusable buffer of evicted lines.
-///
-/// A fill cascade produces at most one departing line today, so entries
-/// live in a fixed inline array and the heap is touched only if a
-/// future policy ever evicts more than [`EvictionBuf::INLINE`] lines
-/// from one operation. Combined with [`CacheLevel::fill_into`], this
-/// keeps the steady-state access loop allocation-free: callers clear
-/// and refill the same buffers instead of receiving fresh `Vec`s.
-///
-/// Dereferences to `&[EvictedLine]`, so indexing, `len()`, `iter()`,
-/// and slice patterns all work as they did on the former `Vec` fields.
-#[derive(Debug, Clone)]
-pub struct EvictionBuf {
-    inline: [EvictedLine; Self::INLINE],
-    /// Entries in `inline` (unused once spilled).
-    len: usize,
-    /// Overflow storage; when non-empty it holds *all* entries.
-    spill: Vec<EvictedLine>,
-}
-
-impl EvictionBuf {
-    /// Inline capacity. The demotion cascade stops at the first line
-    /// that leaves the level, so 2 covers every current policy with
-    /// headroom.
-    pub const INLINE: usize = 2;
-
-    const EMPTY: EvictedLine = EvictedLine {
-        addr: LineAddr(0),
-        dirty: false,
-        slip_codes: [0; 2],
-        sampling: false,
-        hits_since_fill: 0,
-    };
-
-    /// Creates an empty buffer.
-    pub fn new() -> Self {
-        EvictionBuf {
-            inline: [Self::EMPTY; Self::INLINE],
-            len: 0,
-            spill: Vec::new(),
-        }
-    }
-
-    /// Appends an evicted line.
-    pub fn push(&mut self, line: EvictedLine) {
-        if self.spill.is_empty() {
-            if self.len < Self::INLINE {
-                self.inline[self.len] = line;
-                self.len += 1;
-                return;
-            }
-            self.spill.extend_from_slice(&self.inline[..self.len]);
-            self.len = 0;
-        }
-        self.spill.push(line);
-    }
-
-    /// Empties the buffer, keeping any spill capacity for reuse.
-    pub fn clear(&mut self) {
-        self.len = 0;
-        self.spill.clear();
-    }
-
-    /// The entries as a contiguous slice.
-    pub fn as_slice(&self) -> &[EvictedLine] {
-        if self.spill.is_empty() {
-            &self.inline[..self.len]
-        } else {
-            &self.spill
-        }
-    }
-}
-
-impl Default for EvictionBuf {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl core::ops::Deref for EvictionBuf {
-    type Target = [EvictedLine];
-    fn deref(&self) -> &[EvictedLine] {
-        self.as_slice()
-    }
-}
-
-impl PartialEq for EvictionBuf {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for EvictionBuf {}
-
-/// By-value iterator over an [`EvictionBuf`] (entries are `Copy`).
-#[derive(Debug)]
-pub struct EvictionBufIter {
-    buf: EvictionBuf,
-    pos: usize,
-}
-
-impl Iterator for EvictionBufIter {
-    type Item = EvictedLine;
-    fn next(&mut self) -> Option<EvictedLine> {
-        let item = self.buf.as_slice().get(self.pos).copied();
-        self.pos += item.is_some() as usize;
-        item
-    }
-}
-
-impl IntoIterator for EvictionBuf {
-    type Item = EvictedLine;
-    type IntoIter = EvictionBufIter;
-    fn into_iter(self) -> EvictionBufIter {
-        EvictionBufIter { buf: self, pos: 0 }
-    }
-}
-
-impl<'a> IntoIterator for &'a EvictionBuf {
-    type Item = &'a EvictedLine;
-    type IntoIter = core::slice::Iter<'a, EvictedLine>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
-    }
-}
-
 /// Result of a fill (insertion of a line arriving from the level below).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// The demotion cascade stops at the first line that leaves the level,
+/// so a fill evicts at most one line and the outcome is a small `Copy`
+/// value.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FillOutcome {
     /// The policy bypassed the level; nothing was written.
     pub bypassed: bool,
-    /// Dirty lines that left the level and must be written back below.
-    pub writebacks: EvictionBuf,
-    /// Clean lines that left the level.
-    pub clean_evictions: EvictionBuf,
+    /// The line that left the level, clean or dirty.
+    pub evicted: Option<EvictedLine>,
 }
 
 impl FillOutcome {
-    /// All lines that left the level, clean or dirty.
-    pub fn evicted(&self) -> impl Iterator<Item = &EvictedLine> {
-        self.writebacks.iter().chain(self.clean_evictions.iter())
-    }
-
-    /// Resets the outcome for reuse by [`CacheLevel::fill_into`].
-    pub fn clear(&mut self) {
-        self.bypassed = false;
-        self.writebacks.clear();
-        self.clean_evictions.clear();
+    /// The departing line's address if it was dirty and must be written
+    /// back below.
+    pub fn writeback(&self) -> Option<LineAddr> {
+        self.evicted.filter(|e| e.dirty).map(|e| e.addr)
     }
 }
 
@@ -526,13 +396,12 @@ impl CacheLevel {
         let set = self.geom.set_of(line);
         let base = set * self.geom.ways;
         if self.tag_filter {
-            // Compare every way's 16-bit tag at once (SWAR, four lanes
-            // per u64 word), mask to the valid ways, then verify the
-            // surviving candidates against the full address in
-            // ascending-way order (matching the reference scan). The
-            // lane trick can flag a non-matching lane next to a
-            // matching one, never the reverse, so false positives cost
-            // a verify and false negatives cannot happen.
+            // Compare every way's 16-bit tag exactly, mask to the
+            // valid ways, then verify the surviving candidates against
+            // the full address in ascending-way order (matching the
+            // reference scan). Partial tags can collide, so a candidate
+            // may still fail the verify; a resident line is never
+            // missed.
             let tags = &self.tags[base..base + self.geom.ways];
             let mut candidates =
                 Self::tag_match_mask(tags, Self::tag_of(line)) & self.valid_bits[set];
@@ -553,71 +422,23 @@ impl CacheLevel {
         }
     }
 
-    /// Packs four 16-bit tags into one u64 SWAR word.
-    #[inline]
-    fn pack_lanes(lanes: &[u16]) -> u64 {
-        u64::from(lanes[0])
-            | u64::from(lanes[1]) << 16
-            | u64::from(lanes[2]) << 32
-            | u64::from(lanes[3]) << 48
-    }
-
-    /// Zero-lane-detection over `word ^ needle`, compressed to one mask
-    /// bit per 16-bit lane (`(x - 1) & !x & 0x8000` per lane). Lanes
-    /// equal to the needle's are always flagged; a borrow rippling out
-    /// of a matching lane can additionally flag its neighbor, which the
-    /// caller's full-address verify rejects.
-    #[inline]
-    fn lane_eq_nibble(word: u64, needle: u64) -> u32 {
-        const LANE_LSB: u64 = 0x0001_0001_0001_0001;
-        const LANE_MSB: u64 = 0x8000_8000_8000_8000;
-        let x = word ^ needle;
-        let hits = x.wrapping_sub(LANE_LSB) & !x & LANE_MSB;
-        (((hits >> 15) & 1) | ((hits >> 30) & 2) | ((hits >> 45) & 4) | ((hits >> 60) & 8)) as u32
-    }
-
-    /// Bitmask of the ways whose stored tag equals `tag`.
+    /// Bitmask of the ways whose stored tag equals `tag`, exactly.
     ///
-    /// Wide pass first: u64×4 lane groups — four SWAR words, 16 ways —
-    /// per iteration, so a full 16-way set is compared in one pass of
-    /// straight-line, independent word operations. Remaining ways fall
-    /// back to single-word SWAR (4 lanes) and then a scalar tail.
-    /// False positives cost the caller a full-address verify; false
-    /// negatives cannot happen (see [`Self::lane_eq_nibble`]).
+    /// A plain per-way compare that LLVM vectorizes; 16-way sets (the
+    /// paper's L2 and L3) take a fixed-width `[u16; 16]` path so the
+    /// whole set is compared without a loop-carried length.
     #[inline]
     fn tag_match_mask(tags: &[u16], tag: u16) -> u32 {
-        const LANE_LSB: u64 = 0x0001_0001_0001_0001;
-        let needle = LANE_LSB * u64::from(tag);
-        let mut mask = 0u32;
-        let mut base = 0usize;
-        let mut groups = tags.chunks_exact(16);
-        for group in groups.by_ref() {
-            let words = [
-                Self::pack_lanes(&group[0..4]),
-                Self::pack_lanes(&group[4..8]),
-                Self::pack_lanes(&group[8..12]),
-                Self::pack_lanes(&group[12..16]),
-            ];
-            let nibbles = [
-                Self::lane_eq_nibble(words[0], needle),
-                Self::lane_eq_nibble(words[1], needle),
-                Self::lane_eq_nibble(words[2], needle),
-                Self::lane_eq_nibble(words[3], needle),
-            ];
-            let group_mask = nibbles[0] | nibbles[1] << 4 | nibbles[2] << 8 | nibbles[3] << 12;
-            mask |= group_mask << base;
-            base += 16;
+        #[inline(always)]
+        fn eq_mask(tags: &[u16], tag: u16) -> u32 {
+            tags.iter()
+                .enumerate()
+                .fold(0, |m, (w, &t)| m | u32::from(t == tag) << w)
         }
-        let mut chunks = groups.remainder().chunks_exact(4);
-        for lanes in chunks.by_ref() {
-            mask |= Self::lane_eq_nibble(Self::pack_lanes(lanes), needle) << base;
-            base += 4;
+        match <&[u16; 16]>::try_from(tags) {
+            Ok(set) => eq_mask(set, tag),
+            Err(_) => eq_mask(tags, tag),
         }
-        for &t in chunks.remainder() {
-            mask |= u32::from(t == tag) << base;
-            base += 1;
-        }
-        mask
     }
 
     fn set_slice_mut(&mut self, set: usize) -> &mut [LineState] {
@@ -875,29 +696,14 @@ impl CacheLevel {
         policy: &mut P,
         repl: &mut R,
     ) -> FillOutcome {
-        let mut outcome = FillOutcome::default();
-        self.fill_into(req, _now, policy, repl, &mut outcome);
-        outcome
-    }
-
-    /// Allocation-free form of [`fill`](Self::fill): writes the result
-    /// into a caller-owned, reusable `outcome` (cleared on entry)
-    /// instead of returning a fresh one.
-    pub fn fill_into<P: PlacementPolicy + ?Sized, R: ReplacementPolicy + ?Sized>(
-        &mut self,
-        req: FillRequest,
-        _now: u64,
-        policy: &mut P,
-        repl: &mut R,
-        outcome: &mut FillOutcome,
-    ) {
-        outcome.clear();
         self.stats
             .record_insertion_class(policy.classify_insertion(&self.geom, &req));
         let Some(initial_mask) = policy.insertion_mask(&self.geom, &req) else {
             self.stats.bypasses += 1;
-            outcome.bypassed = true;
-            return;
+            return FillOutcome {
+                bypassed: true,
+                evicted: None,
+            };
         };
         assert!(
             !initial_mask.is_empty(),
@@ -920,6 +726,7 @@ impl CacheLevel {
         let mut category = EnergyCategory::Insertion;
         let mut busy_cycles = 0u32;
         let mut depth = 0usize;
+        let mut evicted = None;
         loop {
             depth += 1;
             assert!(
@@ -963,18 +770,18 @@ impl CacheLevel {
                         self.ledger.count_way(EnergyCategory::Writeback, way);
                         busy_cycles += self.geom.latency(way);
                         self.stats.writebacks += 1;
-                        outcome.writebacks.push(EvictedLine::from_state(&displaced));
-                    } else {
-                        outcome
-                            .clean_evictions
-                            .push(EvictedLine::from_state(&displaced));
                     }
+                    evicted = Some(EvictedLine::from_state(&displaced));
                     break;
                 }
             }
         }
         self.port_backlog[fill_set] = self.port_backlog[fill_set].saturating_add(busy_cycles);
         self.movement_queue.drain();
+        FillOutcome {
+            bypassed: false,
+            evicted,
+        }
     }
 
     /// Handles an incoming writeback from the level above.
@@ -1167,9 +974,10 @@ mod tests {
             read(&mut c, i * 4, &mut p, &mut r);
         }
         let out = c.fill(FillRequest::new(LineAddr(16)), 0, &mut p, &mut r);
-        assert_eq!(out.writebacks.len(), 1);
-        assert_eq!(out.writebacks[0].addr, LineAddr(0));
-        assert!(out.writebacks[0].dirty);
+        let evicted = out.evicted.expect("a full set evicts");
+        assert_eq!(evicted.addr, LineAddr(0));
+        assert!(evicted.dirty);
+        assert_eq!(out.writeback(), Some(LineAddr(0)));
         assert_eq!(c.stats.writebacks, 1);
         assert_eq!(c.stats.evictions, 1);
         // NR histogram: line 0 had 2 hits (write + none)... it had 1
@@ -1190,8 +998,8 @@ mod tests {
             read(&mut c, a, &mut p, &mut r);
         }
         let out = c.fill(FillRequest::new(LineAddr(16)), 0, &mut p, &mut r);
-        assert_eq!(out.clean_evictions.len(), 1);
-        assert_eq!(out.clean_evictions[0].addr, LineAddr(8));
+        assert_eq!(out.evicted.map(|e| e.addr), Some(LineAddr(8)));
+        assert_eq!(out.writeback(), None, "the victim is clean");
     }
 
     #[test]
@@ -1283,47 +1091,52 @@ mod tests {
         assert!(read(&mut c, 0, &mut p, &mut r).latency() > 7);
     }
 
-    #[test]
-    fn eviction_buf_spills_past_inline_capacity() {
-        let mut buf = EvictionBuf::new();
-        assert!(buf.is_empty());
-        for i in 0..5u64 {
-            let mut e = EvictionBuf::EMPTY;
-            e.addr = LineAddr(i);
-            buf.push(e);
+    /// Inserts into sublevel 0 and demotes lines displaced from it
+    /// into sublevel 1; lines displaced from sublevel 1 leave the level
+    /// (the SLIP `{[0],[1]}`).
+    struct TwoChunks;
+
+    impl PlacementPolicy for TwoChunks {
+        fn name(&self) -> &'static str {
+            "two-chunks"
         }
-        assert_eq!(buf.len(), 5);
-        assert_eq!(buf[4].addr, LineAddr(4));
-        let addrs: Vec<u64> = buf.clone().into_iter().map(|e| e.addr.0).collect();
-        assert_eq!(addrs, [0, 1, 2, 3, 4]);
-        buf.clear();
-        assert!(buf.as_slice().is_empty());
-        // Inline-only buffers and spilled-then-cleared buffers compare
-        // equal by contents.
-        assert_eq!(buf, EvictionBuf::new());
+
+        fn insertion_mask(&mut self, geom: &CacheGeometry, _: &FillRequest) -> Option<WayMask> {
+            Some(geom.sublevel_ways(0))
+        }
+
+        fn demotion_mask(
+            &mut self,
+            geom: &CacheGeometry,
+            _: &LineState,
+            from_way: usize,
+        ) -> Option<WayMask> {
+            (geom.sublevel(from_way) == 0).then(|| geom.sublevel_ways(1))
+        }
     }
 
     #[test]
-    fn fill_into_reuses_the_outcome_buffer() {
+    fn fill_evicts_at_most_one_line() {
+        // Once both chunks of a set are full, every fill displaces a
+        // near line, which demotes and displaces a far one: the cascade
+        // moves two lines and reports only the one that leaves.
         let mut c = small_level();
-        let mut p = BaselinePolicy::new();
+        let mut p = TwoChunks;
         let mut r = Lru::new();
-        let mut out = FillOutcome::default();
-        for i in 0..4 {
-            c.fill_into(
-                FillRequest::new(LineAddr(i * 4)),
-                0,
-                &mut p,
-                &mut r,
-                &mut out,
-            );
-            assert!(out.evicted().count() == 0);
+        let mut departed = 0u64;
+        for i in 0..16 {
+            let out = c.fill(FillRequest::new(LineAddr(i * 4)), 0, &mut p, &mut r);
+            assert!(!out.bypassed);
+            if i < 4 {
+                assert_eq!(out, FillOutcome::default(), "set 0 still has room");
+            } else {
+                assert!(out.evicted.is_some(), "fill {i} displaced nothing");
+            }
+            departed += u64::from(out.evicted.is_some());
         }
-        c.fill_into(FillRequest::new(LineAddr(16)), 0, &mut p, &mut r, &mut out);
-        assert_eq!(out.clean_evictions.len(), 1);
-        // The next call clears the previous contents.
-        c.fill_into(FillRequest::new(LineAddr(17)), 0, &mut p, &mut r, &mut out);
-        assert!(out.clean_evictions.len() <= 1);
+        assert_eq!(c.stats.evictions, departed);
+        assert!(c.stats.movements >= departed);
+        assert_eq!(c.resident_lines(), 4);
     }
 
     #[test]
@@ -1380,11 +1193,12 @@ mod tests {
     }
 
     #[test]
-    fn tag_match_mask_never_misses_a_matching_lane() {
-        // Deterministic randomized sweep over lane counts (including a
-        // non-multiple-of-4 tail) and adversarial values around the
-        // borrow-ripple cases (0, 1, tag±1, 0x8000): every exact match
-        // must be flagged; spurious flags are allowed.
+    fn tag_match_mask_is_exact() {
+        // Deterministic randomized sweep over every way count 1..=32
+        // (including counts that are not multiples of 4 or 16) and
+        // adversarial values next to the needle (0, 1, tag±1, the sign
+        // bit): the mask is exactly the set of equal lanes — no lane
+        // missed, no lane flagged spuriously.
         let mut rng = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
             rng ^= rng << 13;
@@ -1392,7 +1206,7 @@ mod tests {
             rng ^= rng << 17;
             rng
         };
-        for ways in [1usize, 3, 4, 7, 8, 16, 23, 32] {
+        for ways in 1usize..=32 {
             for _ in 0..500 {
                 let tag = next() as u16;
                 let tags: Vec<u16> = (0..ways)
@@ -1402,31 +1216,30 @@ mod tests {
                         2 => 1,
                         3 => tag.wrapping_add(1),
                         4 => tag.wrapping_sub(1),
-                        5 => 0x8000,
+                        5 => tag ^ 0x8000,
                         _ => next() as u16,
                     })
                     .collect();
-                let mask = CacheLevel::tag_match_mask(&tags, tag);
-                for (w, &t) in tags.iter().enumerate() {
-                    if t == tag {
-                        assert!(
-                            mask & (1 << w) != 0,
-                            "lane {w} (tag {tag:#x}) missed in {tags:x?}"
-                        );
-                    }
-                }
+                let expect = tags
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &t)| t == tag)
+                    .fold(0u32, |acc, (w, _)| acc | (1 << w));
+                assert_eq!(
+                    CacheLevel::tag_match_mask(&tags, tag),
+                    expect,
+                    "tag {tag:#x} in {tags:x?}"
+                );
             }
         }
     }
 
     #[test]
     fn wide_probe_matches_scalar_reference_on_16_way_sets() {
-        // The u64×4 wide pass covers a full 16-way set in one group.
-        // Against a scalar reference: exact matches are always flagged
-        // (no false negatives), and after masking with a random valid
-        // mask plus the full-tag verify the surviving set is *exactly*
-        // the reference's — i.e. false positives never escape the
-        // verify step the real probe performs.
+        // The fixed-width `[u16; 16]` compare covers a full 16-way set
+        // in one pass. Against a scalar reference, masked with a random
+        // valid mask: the raw candidates already equal the reference,
+        // and the full-tag verify the real probe performs keeps them.
         let mut rng = 0x2545f4914f6cdd1du64;
         let mut next = move || {
             rng ^= rng << 13;
@@ -1453,9 +1266,7 @@ mod tests {
                     .filter(|&(w, &t)| t == tag && valid & (1 << w) != 0)
                     .fold(0, |acc, (w, _)| acc | (1 << w));
                 let raw = CacheLevel::tag_match_mask(&tags, tag) & valid;
-                // No false negatives...
-                assert_eq!(raw & reference, reference, "missed lane in {tags:x?}");
-                // ...and verification removes every false positive.
+                assert_eq!(raw, reference, "inexact mask for {tags:x?}");
                 let verified: u32 = (0..ways)
                     .filter(|&w| raw & (1 << w) != 0 && tags[w] == tag)
                     .fold(0, |acc, w| acc | (1 << w));

@@ -134,7 +134,7 @@ fn cascades_terminate_and_conserve_lines() {
                 let out = cache.fill(FillRequest::new(line), i as u64, &mut policy, &mut repl);
                 assert!(!out.bypassed);
                 inserted += 1;
-                departed += out.evicted().count() as u64;
+                departed += u64::from(out.evicted.is_some());
             }
         }
         assert_eq!(cache.resident_lines() as u64, inserted - departed);
@@ -265,8 +265,8 @@ fn packed_cache_matches_reference_access_path() {
                     &mut ref_pol,
                     &mut ref_repl,
                 );
-                let fe: Vec<_> = fo.evicted().map(|e| (e.addr, e.dirty)).collect();
-                let re: Vec<_> = ro.evicted().map(|e| (e.addr, e.dirty)).collect();
+                let fe = fo.evicted.map(|e| (e.addr, e.dirty));
+                let re = ro.evicted.map(|e| (e.addr, e.dirty));
                 assert_eq!(fe, re, "divergent victims at access {i}");
             }
             assert_eq!(fast.probe_way(line), reference.probe_way(line));

@@ -123,7 +123,9 @@ impl SlipMmu {
     ///
     /// # Panics
     ///
-    /// Panics if the two levels disagree on sublevel count.
+    /// Panics if the two levels disagree on sublevel count, or if the
+    /// TLB is not empty (its slots must carry this page table's
+    /// indices).
     pub fn with_config(
         seed: u64,
         l2: LevelModelParams,
@@ -136,6 +138,7 @@ impl SlipMmu {
             l3.sublevels(),
             "L2 and L3 must have the same sublevel count"
         );
+        assert_eq!(tlb.occupancy(), 0, "the TLB must start empty");
         let sublevels = l2.sublevels();
         let default = Slip::default_slip(sublevels)
             .expect("1..=8 sublevels")
@@ -239,10 +242,14 @@ impl SlipMmu {
 
     /// Translates an access to `page` (or rd-block id), performing the
     /// Figure 7 TLB/SLIP-cache miss work when needed.
+    ///
+    /// A hit costs one TLB lookup: the slot holds the page-table index.
+    /// A miss costs one page-table lookup, and the state of the page it
+    /// evicts comes from the evicted slot's index.
     pub fn translate(&mut self, page: PageId) -> Translation {
-        if self.tlb.lookup(page) {
+        if let Some(index) = self.tlb.lookup(page) {
             self.stats.tlb_hits += 1;
-            let entry = self.page_table.entry_mut(page);
+            let entry = self.page_table.entry_at(index as usize);
             let sampling = entry.state == PageState::Sampling;
             return Translation {
                 slip_codes: if sampling {
@@ -260,27 +267,24 @@ impl SlipMmu {
 
         // --- TLB miss: steps Ê-Í of Figure 7 ---
         self.stats.tlb_misses += 1;
-        let first_touch = self.page_table.entry(page).is_none();
-        let transition = {
-            let entry = self.page_table.entry_mut(page);
-            if first_touch {
-                // A fresh PTE starts sampling; the random state
-                // transition applies to subsequent misses only, so a
-                // page cannot stabilize before observing anything.
-                Transition {
-                    state: entry.state,
-                    became_stable: false,
-                }
-            } else {
-                self.sampler.transition(entry.state)
+        let (index, first_touch) = self.page_table.index_of(page);
+        let entry = self.page_table.entry_at_mut(index);
+        let transition = if first_touch {
+            // A fresh PTE starts sampling; the random state transition
+            // applies to subsequent misses only, so a page cannot
+            // stabilize before observing anything.
+            Transition {
+                state: entry.state,
+                became_stable: false,
             }
+        } else {
+            self.sampler.transition(entry.state)
         };
         let mut extra_cycles = 0;
         if transition.became_stable {
             // Step Í: recompute the SLIPs from the collected profile.
-            // Borrowing the entry and the EOUs simultaneously is fine —
-            // they are disjoint fields — so no distribution clones.
-            let entry = self.page_table.entry_mut(page);
+            // The entry and the EOUs are disjoint fields, so no
+            // distribution copies.
             let (s2, s3) = if self.reference_path {
                 (
                     self.eou_l2.optimize_reference(&entry.dists[0]).slip.code(),
@@ -299,13 +303,10 @@ impl SlipMmu {
         }
         // The profile must be resident whenever the page samples — and
         // to compute the new SLIP on a sampling→stable edge.
-        let was_or_is_sampling =
-            transition.became_stable || transition.state == PageState::Sampling;
-        let fetch_metadata = was_or_is_sampling;
+        let fetch_metadata = transition.became_stable || transition.state == PageState::Sampling;
         if fetch_metadata {
             self.stats.metadata_fetches += 1;
         }
-        let entry = self.page_table.entry_mut(page);
         entry.state = transition.state;
         let sampling = entry.state == PageState::Sampling;
         let slip_codes = if sampling {
@@ -316,12 +317,14 @@ impl SlipMmu {
 
         // Step Ì/TLB fill: a sampling page evicted from the TLB must
         // write its (possibly updated) profile back to DRAM.
-        let evicted = self.tlb.insert(page);
-        let writeback_metadata_page = evicted.filter(|p| {
-            self.page_table
-                .entry(*p)
-                .is_some_and(|e| e.state == PageState::Sampling)
-        });
+        // `index_of` hands out u32-sized indices.
+        let writeback_metadata_page = self
+            .tlb
+            .insert(page, index as u32)
+            .filter(|&(_, victim)| {
+                self.page_table.entry_at(victim as usize).state == PageState::Sampling
+            })
+            .map(|(victim, _)| victim);
         if writeback_metadata_page.is_some() {
             self.stats.metadata_writebacks += 1;
         }
@@ -493,8 +496,8 @@ mod tests {
         m.translate_line(b);
         m.record_reuse_line(a, SlipLevel::L2, 0);
         m.record_reuse_line(b, SlipLevel::L2, 3);
-        let ea = m.page_table.entry(m.block_of(a)).unwrap().dists[0].clone();
-        let eb = m.page_table.entry(m.block_of(b)).unwrap().dists[0].clone();
+        let ea = m.page_table.entry(m.block_of(a)).unwrap().dists[0];
+        let eb = m.page_table.entry(m.block_of(b)).unwrap().dists[0];
         assert_eq!(ea.counts(), &[1, 0, 0, 0]);
         assert_eq!(eb.counts(), &[0, 0, 0, 1]);
     }

@@ -7,8 +7,9 @@ use cache_sim::PageId;
 use slip_core::{PageState, RdDistribution, Slip, SlipLevel};
 
 /// Per-page metadata: 6 b of SLIPs + 1 state bit in the PTE, and two
-/// 16 b distributions (L2, L3) in DRAM.
-#[derive(Debug, Clone, PartialEq)]
+/// 16 b distributions (L2, L3) in DRAM. A plain value: it owns no heap
+/// memory.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PageEntry {
     /// 3 b SLIP codes for [L2, L3].
     pub slips: [u8; 2],
@@ -53,6 +54,11 @@ impl PageEntry {
 
 /// The page table: a growable map from page number to [`PageEntry`].
 ///
+/// Entries sit in a dense vector in first-touch order, behind an index
+/// map. An entry's index never changes, so the TLB caches it next to
+/// the page and a TLB hit reaches the entry without a second hash
+/// lookup (see [`PageTable::entry_at`]).
+///
 /// # Example
 ///
 /// ```
@@ -70,9 +76,12 @@ impl PageEntry {
 pub struct PageTable {
     sublevels: usize,
     bin_bits: u32,
-    /// Looked up on every translation, so it uses the fast
-    /// deterministic hasher rather than std's seeded SipHash.
-    pages: FxHashMap<PageId, PageEntry>,
+    /// Page number -> index into `entries`. Looked up on every TLB
+    /// miss, so it uses the fast deterministic hasher rather than
+    /// std's seeded SipHash.
+    index: FxHashMap<PageId, u32>,
+    /// Every touched page with its entry, in first-touch order.
+    entries: Vec<(PageId, PageEntry)>,
 }
 
 impl PageTable {
@@ -99,31 +108,67 @@ impl PageTable {
         PageTable {
             sublevels,
             bin_bits,
-            pages: FxHashMap::default(),
+            index: FxHashMap::default(),
+            entries: Vec::new(),
         }
     }
 
     /// Number of pages touched so far.
     pub fn len(&self) -> usize {
-        self.pages.len()
+        self.entries.len()
     }
 
     /// `true` if no page has been touched.
     pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
+        self.entries.is_empty()
+    }
+
+    /// The index of `page`'s entry, creating a fresh sampling entry on
+    /// first touch (reported by the flag). One hash lookup either way.
+    pub fn index_of(&mut self, page: PageId) -> (usize, bool) {
+        let next = self.entries.len();
+        let i = *self
+            .index
+            .entry(page)
+            .or_insert_with(|| u32::try_from(next).expect("page count fits u32"));
+        let first_touch = i as usize == next;
+        if first_touch {
+            self.entries.push((
+                page,
+                PageEntry::with_bin_bits(self.sublevels, self.bin_bits),
+            ));
+        }
+        (i as usize, first_touch)
+    }
+
+    /// The entry at `index` (from [`Self::index_of`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no entry has that index.
+    pub fn entry_at(&self, index: usize) -> &PageEntry {
+        &self.entries[index].1
+    }
+
+    /// Mutable form of [`Self::entry_at`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if no entry has that index.
+    pub fn entry_at_mut(&mut self, index: usize) -> &mut PageEntry {
+        &mut self.entries[index].1
     }
 
     /// The entry for `page`, creating a fresh sampling entry on first
     /// touch.
     pub fn entry_mut(&mut self, page: PageId) -> &mut PageEntry {
-        self.pages
-            .entry(page)
-            .or_insert_with(|| PageEntry::with_bin_bits(self.sublevels, self.bin_bits))
+        let (i, _) = self.index_of(page);
+        self.entry_at_mut(i)
     }
 
     /// Read-only view of an existing entry.
     pub fn entry(&self, page: PageId) -> Option<&PageEntry> {
-        self.pages.get(&page)
+        self.index.get(&page).map(|&i| self.entry_at(i as usize))
     }
 
     /// Records an observed reuse-distance bin for `page` at `level`.
@@ -131,16 +176,16 @@ impl PageTable {
         self.entry_mut(page).dists[level.index()].observe(bin);
     }
 
-    /// Iterates over all (page, entry) pairs.
+    /// Iterates over all (page, entry) pairs in first-touch order.
     pub fn iter(&self) -> impl Iterator<Item = (&PageId, &PageEntry)> {
-        self.pages.iter()
+        self.entries.iter().map(|(page, entry)| (page, entry))
     }
 
     /// Total metadata overhead in DRAM bits for the touched pages.
     pub fn total_dram_metadata_bits(&self) -> u64 {
-        self.pages
-            .values()
-            .map(|e| u64::from(e.dram_metadata_bits()))
+        self.entries
+            .iter()
+            .map(|(_, e)| u64::from(e.dram_metadata_bits()))
             .sum()
     }
 }
@@ -192,5 +237,18 @@ mod tests {
         pt.entry_mut(PageId(1));
         assert_eq!(pt.len(), 2);
         assert_eq!(pt.total_dram_metadata_bits(), 64);
+    }
+
+    #[test]
+    fn indices_are_stable_and_first_touch_ordered() {
+        let mut pt = PageTable::new(3);
+        assert_eq!(pt.index_of(PageId(40)), (0, true));
+        assert_eq!(pt.index_of(PageId(2)), (1, true));
+        assert_eq!(pt.index_of(PageId(40)), (0, false));
+        pt.entry_at_mut(1).state = PageState::Stable;
+        assert_eq!(pt.entry(PageId(2)).unwrap().state, PageState::Stable);
+        let pages: Vec<u64> = pt.iter().map(|(p, _)| p.0).collect();
+        assert_eq!(pages, [40, 2]);
+        assert!(pt.entry(PageId(3)).is_none());
     }
 }

@@ -10,6 +10,11 @@
 //! entry slots, so lookup, refresh, and capacity eviction are all O(1)
 //! — the TLB sits on the per-access hot path, and high-miss-rate
 //! workloads evict on a third of their accesses.
+//!
+//! Each slot also carries its page's page-table index, as a hardware
+//! TLB entry carries the PTE bits: a hit reaches the page's entry
+//! without walking the page table, and an eviction reports the
+//! victim's index so its state is read without a lookup.
 
 use cache_sim::hash::FxHashMap;
 use cache_sim::PageId;
@@ -23,6 +28,8 @@ const NONE: usize = usize::MAX;
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Slot {
     page: PageId,
+    /// The page's page-table index.
+    entry: u32,
     prev: usize,
     next: usize,
 }
@@ -36,12 +43,12 @@ struct Slot {
 /// use mem_substrate::Tlb;
 ///
 /// let mut tlb = Tlb::new(2);
-/// assert!(!tlb.lookup(PageId(1))); // cold miss
-/// tlb.insert(PageId(1));
-/// assert!(tlb.lookup(PageId(1)));
-/// tlb.insert(PageId(2));
-/// let evicted = tlb.insert(PageId(3)); // capacity eviction
-/// assert_eq!(evicted, Some(PageId(1)));
+/// assert_eq!(tlb.lookup(PageId(1)), None); // cold miss
+/// tlb.insert(PageId(1), 10); // page 1's page-table index is 10
+/// assert_eq!(tlb.lookup(PageId(1)), Some(10));
+/// tlb.insert(PageId(2), 11);
+/// let evicted = tlb.insert(PageId(3), 12); // capacity eviction
+/// assert_eq!(evicted, Some((PageId(1), 10)));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tlb {
@@ -119,71 +126,59 @@ impl Tlb {
     }
 
     /// Looks up `page`, updating recency and hit/miss counters.
-    /// Returns `true` on a hit.
-    pub fn lookup(&mut self, page: PageId) -> bool {
-        match self.probe(page) {
-            Some(i) => {
-                self.commit_hit(i);
-                true
-            }
-            None => {
-                self.misses += 1;
-                false
-            }
-        }
-    }
-
-    /// Pure residency probe returning the entry's slot handle — no
-    /// counters, no recency update. A `Some` handle stays valid until
-    /// the next insertion or lookup miss; pass it to
-    /// [`Self::commit_hit`] to turn the probe into a real hit without
-    /// paying the map lookup twice.
+    /// Returns the page-table index stored with the page on a hit (see
+    /// [`Self::insert`]). One hash lookup.
     #[inline]
-    pub fn probe(&self, page: PageId) -> Option<usize> {
-        self.map.get(&page).copied()
-    }
-
-    /// Commits a hit on a slot handle from [`Self::probe`]: counts it
-    /// and refreshes recency, exactly like a successful
-    /// [`Self::lookup`] on the probed page.
-    #[inline]
-    pub fn commit_hit(&mut self, i: usize) {
-        debug_assert!(i < self.slots.len(), "stale TLB slot handle");
+    pub fn lookup(&mut self, page: PageId) -> Option<u32> {
+        let Some(&i) = self.map.get(&page) else {
+            self.misses += 1;
+            return None;
+        };
         self.hits += 1;
+        self.touch(i);
+        Some(self.slots[i].entry)
+    }
+
+    /// Moves slot `i` to the MRU end of the recency list.
+    #[inline]
+    fn touch(&mut self, i: usize) {
         if self.head != i {
             self.unlink(i);
             self.push_front(i);
         }
     }
 
-    /// Inserts `page` (after a miss), returning the evicted page if the
-    /// TLB was full. Inserting a resident page just refreshes it.
-    pub fn insert(&mut self, page: PageId) -> Option<PageId> {
-        if let Some(&i) = self.map.get(&page) {
-            if self.head != i {
-                self.unlink(i);
-                self.push_front(i);
-            }
+    /// Inserts `page` (after a miss) with `entry`, its page-table
+    /// index. Returns the evicted page and its index if the TLB was
+    /// full. Inserting a resident page just refreshes it.
+    pub fn insert(&mut self, page: PageId, entry: u32) -> Option<(PageId, u32)> {
+        // Claim the slot the page would take. A page that turns out to
+        // be resident (never the case after a lookup miss) gets its old
+        // slot back and is refreshed instead.
+        let full = self.slots.len() == self.capacity;
+        let i = if full { self.tail } else { self.slots.len() };
+        if let Some(resident) = self.map.insert(page, i) {
+            self.map.insert(page, resident);
+            self.slots[resident].entry = entry;
+            self.touch(resident);
             return None;
         }
-        if self.slots.len() < self.capacity {
-            let i = self.slots.len();
+        if !full {
             self.slots.push(Slot {
                 page,
+                entry,
                 prev: NONE,
                 next: NONE,
             });
-            self.map.insert(page, i);
             self.push_front(i);
             return None;
         }
         // Full: reuse the LRU slot for the incoming page.
-        let i = self.tail;
-        let victim = self.slots[i].page;
-        self.map.remove(&victim);
+        let victim = (self.slots[i].page, self.slots[i].entry);
+        self.map.remove(&victim.0);
         self.unlink(i);
         self.slots[i].page = page;
-        self.map.insert(page, i);
+        self.slots[i].entry = entry;
         self.push_front(i);
         Some(victim)
     }
@@ -211,9 +206,9 @@ mod tests {
     #[test]
     fn hit_after_insert() {
         let mut t = Tlb::new(4);
-        assert!(!t.lookup(PageId(1)));
-        t.insert(PageId(1));
-        assert!(t.lookup(PageId(1)));
+        assert_eq!(t.lookup(PageId(1)), None);
+        t.insert(PageId(1), 1);
+        assert!(t.lookup(PageId(1)).is_some());
         assert_eq!(t.hits, 1);
         assert_eq!(t.misses, 1);
         assert!((t.miss_rate() - 0.5).abs() < 1e-12);
@@ -222,12 +217,12 @@ mod tests {
     #[test]
     fn evicts_lru_entry() {
         let mut t = Tlb::new(2);
-        t.insert(PageId(1));
-        t.insert(PageId(2));
+        t.insert(PageId(1), 1);
+        t.insert(PageId(2), 2);
         // Touch 1 so 2 becomes LRU.
-        assert!(t.lookup(PageId(1)));
-        let e = t.insert(PageId(3));
-        assert_eq!(e, Some(PageId(2)));
+        assert!(t.lookup(PageId(1)).is_some());
+        let e = t.insert(PageId(3), 3);
+        assert_eq!(e, Some((PageId(2), 2)));
         assert!(t.contains(PageId(1)));
         assert!(t.contains(PageId(3)));
         assert_eq!(t.occupancy(), 2);
@@ -236,20 +231,20 @@ mod tests {
     #[test]
     fn reinserting_resident_page_evicts_nothing() {
         let mut t = Tlb::new(2);
-        t.insert(PageId(1));
-        t.insert(PageId(2));
-        assert_eq!(t.insert(PageId(1)), None);
+        t.insert(PageId(1), 1);
+        t.insert(PageId(2), 2);
+        assert_eq!(t.insert(PageId(1), 1), None);
         assert_eq!(t.occupancy(), 2);
     }
 
     #[test]
     fn reinsertion_refreshes_recency() {
         let mut t = Tlb::new(2);
-        t.insert(PageId(1));
-        t.insert(PageId(2));
+        t.insert(PageId(1), 1);
+        t.insert(PageId(2), 2);
         // Refresh 1 via insert; 2 becomes the victim.
-        assert_eq!(t.insert(PageId(1)), None);
-        assert_eq!(t.insert(PageId(3)), Some(PageId(2)));
+        assert_eq!(t.insert(PageId(1), 1), None);
+        assert_eq!(t.insert(PageId(3), 3), Some((PageId(2), 2)));
     }
 
     #[test]
@@ -266,13 +261,13 @@ mod tests {
             x ^= x << 17;
             let page = x % 24;
             clock += 1;
-            let hit = t.lookup(PageId(page));
+            let hit = t.lookup(PageId(page)).is_some();
             let model_hit = stamps.iter().any(|&(p, _)| p == page);
             assert_eq!(hit, model_hit);
             if let Some(e) = stamps.iter_mut().find(|(p, _)| *p == page) {
                 e.1 = clock;
             } else {
-                let evicted = t.insert(PageId(page));
+                let evicted = t.insert(PageId(page), page as u32);
                 stamps.push((page, clock));
                 let model_evicted = (stamps.len() > 8).then(|| {
                     let at = stamps
@@ -283,9 +278,25 @@ mod tests {
                         .0;
                     stamps.remove(at).0
                 });
-                assert_eq!(evicted, model_evicted.map(PageId));
+                assert_eq!(evicted, model_evicted.map(|p| (PageId(p), p as u32)));
             }
         }
+    }
+
+    #[test]
+    fn entries_travel_with_their_pages() {
+        let mut t = Tlb::new(2);
+        assert_eq!(t.insert(PageId(10), 7), None);
+        assert_eq!(t.insert(PageId(11), 8), None);
+        assert_eq!(t.lookup(PageId(10)), Some(7));
+        assert_eq!(t.lookup(PageId(12)), None);
+        // Page 11 is LRU: its index comes back with it.
+        assert_eq!(t.insert(PageId(12), 9), Some((PageId(11), 8)));
+        // Re-inserting a resident page keeps its slot.
+        assert_eq!(t.insert(PageId(10), 7), None);
+        assert_eq!(t.occupancy(), 2);
+        assert_eq!(t.lookup(PageId(12)), Some(9));
+        assert_eq!((t.hits, t.misses), (2, 1));
     }
 
     #[test]

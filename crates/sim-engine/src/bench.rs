@@ -290,10 +290,12 @@ fn kernel_benches(quick: bool) -> Vec<KernelResult> {
         });
     }
 
-    // Widened SWAR tag probe: a full 16-way set compared as u64×4 lane
-    // groups in one pass. The set is filled completely and the probed
-    // line sits at the highest way, so every probe runs the whole wide
-    // pass plus one full-address verify — the hit-path worst case.
+    // Exact tag probe on a full 16-way set: the fixed-width `[u16; 16]`
+    // compare of every way's partial tag in one vectorized pass. The
+    // set is filled completely and the probed line sits at the highest
+    // way, so every probe runs the whole compare plus one full-address
+    // verify — the hit-path worst case. (The kernel keeps its name so
+    // reports stay comparable with earlier BENCH files.)
     {
         let mut cache = CacheLevel::new("L2", config.l2_geometry());
         let mut policy = BaselinePolicy::new();

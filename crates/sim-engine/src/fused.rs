@@ -35,8 +35,7 @@ use crate::config::SystemConfig;
 use crate::result::SimResult;
 use crate::system::{L1Verdict, SingleCoreSystem};
 use cache_sim::{
-    Access, AccessClass, AccessResult, BaselinePolicy, CacheLevel, CacheStats, FillOutcome,
-    FillRequest, LineAddr, Lru,
+    Access, AccessClass, AccessResult, BaselinePolicy, CacheLevel, CacheStats, FillRequest, Lru,
 };
 use energy_model::EnergyAccount;
 use std::time::Instant;
@@ -69,23 +68,10 @@ struct SharedL1 {
     level: CacheLevel,
     policy: BaselinePolicy,
     repl: Lru,
-    scratch: FillOutcome,
     /// The current segment, decoded once.
     accesses: Vec<Access>,
     /// One verdict per decoded access.
-    verdicts: Vec<VerdictRec>,
-    /// The segment's dirty L1 victims, indexed by the verdicts.
-    wbs: Vec<LineAddr>,
-}
-
-/// One access's verdict, indexing a span of `wbs` (the chunk-wide dirty
-/// victim buffer).
-#[derive(Clone, Copy)]
-struct VerdictRec {
-    hit: bool,
-    latency: u32,
-    wb_start: u32,
-    wb_end: u32,
+    verdicts: Vec<L1Verdict>,
 }
 
 impl SharedL1 {
@@ -94,18 +80,15 @@ impl SharedL1 {
             level: config.build_l1(),
             policy: BaselinePolicy::new(),
             repl: Lru::new(),
-            scratch: FillOutcome::default(),
             accesses: Vec::with_capacity(DEFAULT_CHUNK_ACCESSES),
             verdicts: Vec::with_capacity(DEFAULT_CHUNK_ACCESSES),
-            wbs: Vec::new(),
         }
     }
 
     /// Probes one demand access and, on a miss, fills immediately —
     /// equivalent to the serial probe-then-fill-later sequence because
     /// nothing touches the L1 in between on a non-inclusive hierarchy.
-    /// Dirty victims append to `wbs`; returns `(hit, latency)`.
-    fn step(&mut self, access: Access, wbs: &mut Vec<LineAddr>) -> (bool, u32) {
+    fn step(&mut self, access: Access) -> L1Verdict {
         let r = self.level.access(
             access.line(),
             access.kind,
@@ -115,16 +98,20 @@ impl SharedL1 {
             &mut self.repl,
         );
         match r {
-            AccessResult::Hit(h) => (true, h.latency),
+            AccessResult::Hit(h) => L1Verdict {
+                hit: true,
+                latency: h.latency,
+                writeback: None,
+            },
             AccessResult::Miss { latency } => {
                 let mut req = FillRequest::new(access.line());
                 req.dirty = access.kind.is_write();
-                self.level
-                    .fill_into(req, 0, &mut self.policy, &mut self.repl, &mut self.scratch);
-                for wb in &self.scratch.writebacks {
-                    wbs.push(wb.addr);
+                let out = self.level.fill(req, 0, &mut self.policy, &mut self.repl);
+                L1Verdict {
+                    hit: false,
+                    latency,
+                    writeback: out.writeback(),
                 }
-                (false, latency)
             }
         }
     }
@@ -134,29 +121,11 @@ impl SharedL1 {
     fn verdict_pass(&mut self, segment: &[u64]) {
         self.accesses.clear();
         self.verdicts.clear();
-        let mut wbs = std::mem::take(&mut self.wbs);
-        wbs.clear();
         for &word in segment {
             let access = unpack_access(word);
-            let wb_start = wbs.len() as u32;
-            let (hit, latency) = self.step(access, &mut wbs);
+            let verdict = self.step(access);
             self.accesses.push(access);
-            self.verdicts.push(VerdictRec {
-                hit,
-                latency,
-                wb_start,
-                wb_end: wbs.len() as u32,
-            });
-        }
-        self.wbs = wbs;
-    }
-
-    fn verdict(&self, i: usize) -> L1Verdict<'_> {
-        let v = self.verdicts[i];
-        L1Verdict {
-            hit: v.hit,
-            latency: v.latency,
-            writebacks: &self.wbs[v.wb_start as usize..v.wb_end as usize],
+            self.verdicts.push(verdict);
         }
     }
 
@@ -176,8 +145,8 @@ fn run_segment(systems: &mut [SingleCoreSystem], shared: &mut Option<SharedL1>, 
         Some(l1) => {
             l1.verdict_pass(segment);
             for sys in systems.iter_mut() {
-                for (i, &a) in l1.accesses.iter().enumerate() {
-                    sys.step_with(a, Some(&l1.verdict(i)));
+                for (&a, v) in l1.accesses.iter().zip(&l1.verdicts) {
+                    sys.step_with(a, Some(v));
                 }
             }
         }
@@ -300,7 +269,6 @@ pub fn run_group_observed(
     mut observe: impl FnMut(u64, &[SingleCoreSystem]) -> bool,
 ) -> Option<Vec<SimResult>> {
     let (mut systems, mut shared) = build_group(configs);
-    let mut wbs: Vec<LineAddr> = Vec::new();
     let mut index = 0u64;
     for chunk in buffer.chunks() {
         for &word in chunk {
@@ -313,13 +281,7 @@ pub fn run_group_observed(
                 }
             }
             let access = unpack_access(word);
-            wbs.clear();
-            let verdict = shared.as_mut().map(|l1| l1.step(access, &mut wbs));
-            let verdict = verdict.map(|(hit, latency)| L1Verdict {
-                hit,
-                latency,
-                writebacks: &wbs,
-            });
+            let verdict = shared.as_mut().map(|l1| l1.step(access));
             for sys in &mut systems {
                 sys.step_with(access, verdict.as_ref());
             }

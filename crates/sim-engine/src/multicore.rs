@@ -283,8 +283,8 @@ impl DualCoreSystem {
         let out = core
             .l1
             .fill(req, now, &mut core.l1_policy, &mut core.l1_repl);
-        for wb in out.writebacks {
-            self.writeback_below_l1(core_idx, wb.addr);
+        if let Some(wb) = out.writeback() {
+            self.writeback_below_l1(core_idx, wb);
         }
     }
 
@@ -305,8 +305,8 @@ impl DualCoreSystem {
         let out = core
             .l2
             .fill(req, now, core.l2_policy.as_mut(), core.l2_repl.as_mut());
-        for wb in out.writebacks {
-            self.writeback_below_l2(wb.addr);
+        if let Some(wb) = out.writeback() {
+            self.writeback_below_l2(wb);
         }
     }
 
@@ -330,7 +330,7 @@ impl DualCoreSystem {
             self.l3_policies[idx].as_mut(),
             self.l3_repl.as_mut(),
         );
-        for _wb in out.writebacks {
+        if out.writeback().is_some() {
             self.dram.write_line();
         }
     }
@@ -404,8 +404,8 @@ impl DualCoreSystem {
         let out = core
             .l2
             .fill(req, now, core.l2_policy.as_mut(), core.l2_repl.as_mut());
-        for wb in out.writebacks {
-            self.writeback_below_l2(wb.addr);
+        if let Some(wb) = out.writeback() {
+            self.writeback_below_l2(wb);
         }
     }
 
@@ -421,7 +421,7 @@ impl DualCoreSystem {
             self.l3_policies[idx].as_mut(),
             self.l3_repl.as_mut(),
         );
-        for _wb in out.writebacks {
+        if out.writeback().is_some() {
             self.dram.write_line();
         }
     }

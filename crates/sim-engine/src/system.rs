@@ -12,8 +12,8 @@ use crate::config::{PolicyKind, ReplacementKind, SystemConfig};
 use crate::dispatch::{AnyPlacement, AnyReplacement};
 use crate::result::SimResult;
 use cache_sim::{
-    AccessClass, AccessKind, AccessResult, BaselinePolicy, CacheLevel, Drrip, FillOutcome,
-    FillRequest, LineAddr, Lru, PageId, Ship,
+    AccessClass, AccessKind, AccessResult, BaselinePolicy, CacheLevel, Drrip, FillRequest,
+    LineAddr, Lru, PageId, Ship,
 };
 use energy_model::Energy;
 use mem_substrate::{Dram, SlipMmu};
@@ -43,10 +43,6 @@ pub struct SingleCoreSystem {
     l3_cum_caps: Vec<usize>,
     cycles: u64,
     accesses: u64,
-    /// Reusable fill-outcome buffer: every fill at every level writes
-    /// into this scratch via `fill_into`, so the steady-state access
-    /// loop performs no per-access allocation.
-    fill_scratch: FillOutcome,
 }
 
 impl SingleCoreSystem {
@@ -142,7 +138,6 @@ impl SingleCoreSystem {
             l3_cum_caps,
             cycles: 0,
             accesses: 0,
-            fill_scratch: FillOutcome::default(),
         }
         .with_dram()
     }
@@ -173,15 +168,15 @@ impl SingleCoreSystem {
     /// comes from this system's own L1 (`shared_l1 == None`), or from a
     /// fused group's shared L1 (see [`crate::fused`]), which already
     /// probed and filled for this access: its latency feeds the
-    /// accounting, and the victims its fill evicted are routed down
+    /// accounting, and the dirty victim its fill evicted is routed down
     /// this system's L2/L3/DRAM at the point where the system's own L1
-    /// fill would have evicted them.
+    /// fill would have evicted it.
     ///
     /// A shared L1 is only legal for non-inclusive hierarchies, where
     /// nothing below the L1 ever reaches back into it — that is what
     /// makes the L1 policy-invariant and thus shareable across a group.
     #[inline]
-    pub fn step_with(&mut self, access: cache_sim::Access, shared_l1: Option<&L1Verdict<'_>>) {
+    pub fn step_with(&mut self, access: cache_sim::Access, shared_l1: Option<&L1Verdict>) {
         debug_assert!(
             shared_l1.is_none() || !self.config.inclusive_llc,
             "shared L1 requires non-inclusive LLC"
@@ -305,11 +300,11 @@ impl SingleCoreSystem {
     }
 
     /// Fills a line into L1 (write-allocate: stores dirty the L1 copy)
-    /// and routes the dirty victims down. With a shared L1 the fill
-    /// already happened; only its victims are routed.
-    fn fill_l1(&mut self, line: LineAddr, kind: AccessKind, shared_l1: Option<&L1Verdict<'_>>) {
+    /// and routes a dirty victim down. With a shared L1 the fill
+    /// already happened; only its victim is routed.
+    fn fill_l1(&mut self, line: LineAddr, kind: AccessKind, shared_l1: Option<&L1Verdict>) {
         if let Some(v) = shared_l1 {
-            for &wb in v.writebacks {
+            if let Some(wb) = v.writeback {
                 self.writeback_below_l1(wb);
             }
             return;
@@ -317,15 +312,12 @@ impl SingleCoreSystem {
         let mut req = FillRequest::new(line);
         req.dirty = kind.is_write();
         let now = self.cycles;
-        // Writeback routing below never re-enters fill, so the scratch
-        // buffer can be taken for the duration of the loop.
-        let mut out = core::mem::take(&mut self.fill_scratch);
-        self.l1
-            .fill_into(req, now, &mut self.l1_policy, &mut self.l1_repl, &mut out);
-        for wb in &out.writebacks {
-            self.writeback_below_l1(wb.addr);
+        let out = self
+            .l1
+            .fill(req, now, &mut self.l1_policy, &mut self.l1_repl);
+        if let Some(wb) = out.writeback() {
+            self.writeback_below_l1(wb);
         }
-        self.fill_scratch = out;
     }
 
     fn fill_l2(&mut self, line: LineAddr, slip_codes: [u8; 2], sampling: bool, page: PageId) {
@@ -334,13 +326,12 @@ impl SingleCoreSystem {
         req.sampling = sampling;
         req.signature = Self::signature(page);
         let now = self.cycles;
-        let mut out = core::mem::take(&mut self.fill_scratch);
-        self.l2
-            .fill_into(req, now, &mut self.l2_policy, &mut self.l2_repl, &mut out);
-        for wb in &out.writebacks {
-            self.writeback_below_l2(wb.addr);
+        let out = self
+            .l2
+            .fill(req, now, &mut self.l2_policy, &mut self.l2_repl);
+        if let Some(wb) = out.writeback() {
+            self.writeback_below_l2(wb);
         }
-        self.fill_scratch = out;
     }
 
     fn fill_l3(
@@ -355,23 +346,18 @@ impl SingleCoreSystem {
         req.sampling = sampling;
         req.signature = Self::signature(page);
         let now = self.cycles;
-        let mut out = core::mem::take(&mut self.fill_scratch);
-        self.l3
-            .fill_into(req, now, &mut self.l3_policy, &mut self.l3_repl, &mut out);
-        for wb in &out.writebacks {
-            self.dram.write_line();
-            if self.config.inclusive_llc {
-                self.back_invalidate(wb.addr);
+        let out = self
+            .l3
+            .fill(req, now, &mut self.l3_policy, &mut self.l3_repl);
+        if let Some(ev) = out.evicted {
+            if ev.dirty {
+                self.dram.write_line();
             }
-        }
-        if self.config.inclusive_llc {
-            for ev in &out.clean_evictions {
+            if self.config.inclusive_llc {
                 self.back_invalidate(ev.addr);
             }
         }
-        let bypassed = out.bypassed;
-        self.fill_scratch = out;
-        bypassed
+        out.bypassed
     }
 
     /// Inclusive-LLC back-invalidation: a line leaving the L3 must also
@@ -450,24 +436,24 @@ impl SingleCoreSystem {
         req.slip_codes = [default_code, default_code];
         req.signature = 0xFFFF;
         let now = self.cycles;
-        let mut out = core::mem::take(&mut self.fill_scratch);
         match level {
             FillLevel::L2 => {
-                self.l2
-                    .fill_into(req, now, &mut self.l2_policy, &mut self.l2_repl, &mut out);
-                for wb in &out.writebacks {
-                    self.writeback_below_l2(wb.addr);
+                let out = self
+                    .l2
+                    .fill(req, now, &mut self.l2_policy, &mut self.l2_repl);
+                if let Some(wb) = out.writeback() {
+                    self.writeback_below_l2(wb);
                 }
             }
             FillLevel::L3 => {
-                self.l3
-                    .fill_into(req, now, &mut self.l3_policy, &mut self.l3_repl, &mut out);
-                for _wb in &out.writebacks {
+                let out = self
+                    .l3
+                    .fill(req, now, &mut self.l3_policy, &mut self.l3_repl);
+                if out.writeback().is_some() {
                     self.dram.write_line();
                 }
             }
         }
-        self.fill_scratch = out;
     }
 
     /// Writes a page's distribution record back (TLB eviction of a
@@ -598,16 +584,16 @@ enum FillLevel {
 /// The L1 interaction of one demand access, computed once on a fused
 /// group's shared L1 and consumed by every cell's
 /// [`SingleCoreSystem::step_with`].
-#[derive(Debug)]
-pub struct L1Verdict<'a> {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct L1Verdict {
     /// Whether the access hit the L1.
     pub hit: bool,
     /// Hit latency (including port wait) for hits; miss latency for
     /// misses — exactly what `CacheLevel::access` reported.
     pub latency: u32,
-    /// Dirty victims the L1 fill evicted (empty for hits), in eviction
-    /// order; each cell routes them down its own hierarchy.
-    pub writebacks: &'a [LineAddr],
+    /// The dirty victim the L1 fill evicted (`None` for hits and clean
+    /// victims); each cell routes it down its own hierarchy.
+    pub writeback: Option<LineAddr>,
 }
 
 /// Runs `spec` for `len` accesses under `config` and returns the result.

@@ -1,7 +1,7 @@
 //! Golden equivalence: the allocation-free hot path (flat EOU kernel,
-//! tag-filtered probes, reusable eviction buffers) produces results
-//! bit-identical to the seed reference implementations, serially and
-//! under a parallel worker pool.
+//! tag-filtered probes, by-value fill outcomes, SLIP chunk tables)
+//! produces results bit-identical to the seed reference
+//! implementations, serially and under a parallel worker pool.
 //!
 //! The fingerprint is the exact journal payload text, so every counter
 //! and every energy f64 is compared bit-for-bit (wall time is

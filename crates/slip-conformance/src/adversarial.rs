@@ -6,7 +6,7 @@
 //! reach: set-conflict storms beyond the associativity, abrupt phase
 //! changes, TLB thrash across thousands of pages, degenerate single-line
 //! loops, addresses at the edges of the packed-word address space, and —
-//! crucial for the SWAR tag probe — pairs of lines engineered to share
+//! crucial for the partial-tag probe — pairs of lines engineered to share
 //! both their set index and their XOR-folded 16-bit tag, so a probe that
 //! skipped the full-address verification would report false hits.
 //!

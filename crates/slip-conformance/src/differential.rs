@@ -6,7 +6,7 @@
 //! a replacement policy, an EOU objective, and the trace/config seeds.
 //! The scenario is replayed through the *reference* hot path
 //! (`SystemConfig::reference_hot_path = true`: line-array probes and
-//! the allocating f64 EOU loop) and through the *optimized* paths (SWAR
+//! the allocating f64 EOU loop) and through the *optimized* paths (exact
 //! tag filter, fused q16-distribution EOU kernel) in several execution
 //! modes — inline stepping and chunked replay from a packed
 //! [`TraceBuffer`], the latter also for workload-spec iterations. The

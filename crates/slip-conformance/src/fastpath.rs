@@ -1,5 +1,5 @@
 //! Fast-path determinism check: the optimized hot path (SoA L1 with
-//! packed LRU stacks, SWAR tag filter, q16 EOU kernel) must be
+//! packed LRU stacks, exact tag filter, q16 EOU kernel) must be
 //! bit-identical to the verbatim reference path.
 //!
 //! This is the conformance-side guarantee backing the default

@@ -496,17 +496,13 @@ pub fn check_default_slip_equivalence(seed: u64, accesses: u64) -> Result<(), Vi
         if ob.bypassed {
             return Err(violation(Some(step), "Default-SLIP fill bypassed".into()));
         }
-        // Evicted lines must match by address and dirtiness; SLIP
+        // The evicted line must match by address and dirtiness; SLIP
         // metadata on the evicted copies legitimately differs.
-        let key = |o: &cache_sim::FillOutcome| {
-            let mut v: Vec<(u64, bool)> = o.evicted().map(|e| (e.addr.0, e.dirty)).collect();
-            v.sort_unstable();
-            v
-        };
+        let key = |o: &cache_sim::FillOutcome| o.evicted.map(|e| (e.addr.0, e.dirty));
         if key(&oa) != key(&ob) {
             return Err(violation(
                 Some(step),
-                format!("eviction streams differ: {:?} vs {:?}", key(&oa), key(&ob)),
+                format!("evicted lines differ: {:?} vs {:?}", key(&oa), key(&ob)),
             ));
         }
     }

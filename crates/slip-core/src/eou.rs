@@ -256,9 +256,9 @@ impl EnergyOptimizerUnit {
     /// coefficient matrix, no allocation. Ties favor the Default SLIP,
     /// then the lower code, exactly as [`optimize`](Self::optimize).
     ///
-    /// Vectorized with the same explicit-lane discipline as the cache
-    /// probe's SWAR path: four candidate rows are evaluated per
-    /// iteration into independent `[Energy; 4]` lane accumulators.
+    /// Vectorized with explicit lanes: four candidate rows are
+    /// evaluated per iteration into independent `[Energy; 4]` lane
+    /// accumulators.
     /// Each lane folds its own row front-to-back — the exact add/mul
     /// sequence of [`dot`](Self::dot) — and the four results are
     /// compared in code order with strict `<`, so the decision and its

@@ -57,6 +57,6 @@ pub use model::{
 };
 pub use partition::{interleaved_partitions, PartitionedSlip};
 pub use placement::{SlipLevel, SlipPlacement};
-pub use rd_dist::{bin_for_distance, RdDistribution, PAPER_BINS, PAPER_BIN_BITS};
+pub use rd_dist::{bin_for_distance, RdDistribution, MAX_BINS, PAPER_BINS, PAPER_BIN_BITS};
 pub use sampling::{PageState, SamplingConfig, TimeSampler, Transition};
 pub use slip::{Slip, SlipError, MAX_SUBLEVELS};

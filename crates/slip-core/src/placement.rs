@@ -16,7 +16,7 @@
 //! victim chunk is first narrowed to one random sublevel, chosen in
 //! proportion to sublevel sizes.
 
-use crate::slip::Slip;
+use crate::slip::{Slip, MAX_SUBLEVELS};
 use cache_sim::policy::{FillRequest, InsertionClass, PlacementPolicy};
 use cache_sim::rng::SplitMix64;
 use cache_sim::{CacheGeometry, LineState, WayMask};
@@ -68,31 +68,83 @@ impl SlipLevel {
 #[derive(Debug, Clone)]
 pub struct SlipPlacement {
     level: SlipLevel,
+    /// `2^S - 1`: a code's bits beyond the level's sublevels are
+    /// ignored.
+    code_mask: u8,
     sublevels: usize,
     /// Way mask per sublevel, cached from the geometry.
-    sublevel_masks: Vec<WayMask>,
+    sublevel_masks: [WayMask; MAX_SUBLEVELS],
     /// Way count per sublevel (weights for randomized victimization).
-    sublevel_weights: Vec<u64>,
+    sublevel_weights: [u64; MAX_SUBLEVELS],
+    /// Per masked code: the insertion class and the first chunk
+    /// (`None` for the All-Bypass Policy).
+    first: Vec<(InsertionClass, Option<Chunk>)>,
+    /// Per masked code and sublevel (`code * S + sublevel`): the chunk
+    /// a line displaced from that sublevel demotes into (`None` when
+    /// the line leaves the level).
+    next: Vec<Option<Chunk>>,
     randomize_sublevel: bool,
     rng: SplitMix64,
 }
 
+/// One chunk of a SLIP: its inclusive sublevel range and the union of
+/// those sublevels' ways.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Chunk {
+    lo: u8,
+    hi: u8,
+    mask: WayMask,
+}
+
 impl SlipPlacement {
     /// Creates SLIP placement for `level` over `geom`.
+    ///
+    /// Every decision the policy makes per fill depends only on the
+    /// line's code and, for demotion, the sublevel it leaves, so the
+    /// chunks are tabulated here once for all `2^S` codes and the
+    /// per-access paths only look them up.
     ///
     /// # Panics
     ///
     /// Panics if the geometry has no sublevels or more than 8.
     pub fn new(level: SlipLevel, geom: &CacheGeometry) -> Self {
         let s = geom.sublevels();
-        assert!((1..=8).contains(&s), "1..=8 sublevels required");
-        let sublevel_masks: Vec<WayMask> = (0..s).map(|i| geom.sublevel_ways(i)).collect();
-        let sublevel_weights = sublevel_masks.iter().map(|m| m.count() as u64).collect();
+        assert!((1..=MAX_SUBLEVELS).contains(&s), "1..=8 sublevels required");
+        let mut sublevel_masks = [WayMask::EMPTY; MAX_SUBLEVELS];
+        let mut sublevel_weights = [0u64; MAX_SUBLEVELS];
+        for i in 0..s {
+            sublevel_masks[i] = geom.sublevel_ways(i);
+            sublevel_weights[i] = sublevel_masks[i].count() as u64;
+        }
+        let chunk = |range: &core::ops::RangeInclusive<usize>| Chunk {
+            lo: *range.start() as u8,
+            hi: *range.end() as u8,
+            mask: range
+                .clone()
+                .fold(WayMask::EMPTY, |m, i| m.union(sublevel_masks[i])),
+        };
+        let codes = 1usize << s;
+        let mut first = Vec::with_capacity(codes);
+        let mut next = Vec::with_capacity(codes * s);
+        for code in 0..codes {
+            let slip = Slip::from_code(s, code as u8).expect("code below 2^S");
+            let chunks = slip.chunks();
+            first.push((Self::class_of(slip), chunks.first().map(chunk)));
+            for sublevel in 0..s {
+                let to = slip
+                    .chunk_of_sublevel(sublevel)
+                    .and_then(|c| chunks.get(c + 1));
+                next.push(to.map(chunk));
+            }
+        }
         SlipPlacement {
             level,
+            code_mask: (codes - 1) as u8,
             sublevels: s,
             sublevel_masks,
             sublevel_weights,
+            first,
+            next,
             randomize_sublevel: false,
             rng: SplitMix64::new(0x51ae_c0de),
         }
@@ -111,58 +163,7 @@ impl SlipPlacement {
         self.level
     }
 
-    fn slip_of_code(&self, code: u8) -> Slip {
-        // Mask in usize: `1u8 << 8` would overflow for S = 8.
-        let mask = (1usize << self.sublevels) - 1;
-        Slip::from_code(self.sublevels, (code as usize & mask) as u8)
-            .expect("masked code is always in range")
-    }
-
-    fn chunk_mask(&mut self, chunk: core::ops::RangeInclusive<usize>) -> WayMask {
-        if self.randomize_sublevel && chunk.clone().count() > 1 {
-            let lo = *chunk.start();
-            let weights: Vec<u64> = self.sublevel_weights[chunk.clone()].to_vec();
-            let pick = lo + self.rng.pick_weighted(&weights);
-            return self.sublevel_masks[pick];
-        }
-        let mut m = WayMask::EMPTY;
-        for s in chunk {
-            m = m.union(self.sublevel_masks[s]);
-        }
-        m
-    }
-}
-
-impl PlacementPolicy for SlipPlacement {
-    fn name(&self) -> &'static str {
-        "SLIP"
-    }
-
-    fn insertion_mask(&mut self, _geom: &CacheGeometry, req: &FillRequest) -> Option<WayMask> {
-        let slip = self.slip_of_code(req.slip_codes[self.level.index()]);
-        let chunks = slip.chunks();
-        let first = chunks.first()?.clone();
-        Some(self.chunk_mask(first))
-    }
-
-    fn demotion_mask(
-        &mut self,
-        geom: &CacheGeometry,
-        line: &LineState,
-        from_way: usize,
-    ) -> Option<WayMask> {
-        let slip = self.slip_of_code(line.slip_codes[self.level.index()]);
-        let sublevel = geom.sublevel(from_way);
-        // A line may sit outside its SLIP's sublevels if its page's
-        // policy changed while it was resident; evict it.
-        let chunk = slip.chunk_of_sublevel(sublevel)?;
-        let chunks = slip.chunks();
-        let next = chunks.get(chunk + 1)?.clone();
-        Some(self.chunk_mask(next))
-    }
-
-    fn classify_insertion(&self, _geom: &CacheGeometry, req: &FillRequest) -> InsertionClass {
-        let slip = self.slip_of_code(req.slip_codes[self.level.index()]);
+    fn class_of(slip: Slip) -> InsertionClass {
         if slip.is_all_bypass() {
             InsertionClass::AllBypass
         } else if slip.bypasses_sublevels() {
@@ -172,6 +173,52 @@ impl PlacementPolicy for SlipPlacement {
         } else {
             InsertionClass::Other
         }
+    }
+
+    /// The level's code in `codes`, masked to the level's `S` bits.
+    fn code_of(&self, codes: [u8; 2]) -> usize {
+        usize::from(codes[self.level.index()] & self.code_mask)
+    }
+
+    /// The ways a line may take in `chunk`: the whole chunk, or under
+    /// randomized victimization one sublevel of a multi-sublevel chunk,
+    /// picked in proportion to sublevel sizes.
+    fn chunk_mask(&mut self, chunk: Chunk) -> WayMask {
+        if self.randomize_sublevel && chunk.hi > chunk.lo {
+            let (lo, hi) = (usize::from(chunk.lo), usize::from(chunk.hi));
+            let pick = lo + self.rng.pick_weighted(&self.sublevel_weights[lo..=hi]);
+            return self.sublevel_masks[pick];
+        }
+        chunk.mask
+    }
+}
+
+impl PlacementPolicy for SlipPlacement {
+    fn name(&self) -> &'static str {
+        "SLIP"
+    }
+
+    fn insertion_mask(&mut self, _geom: &CacheGeometry, req: &FillRequest) -> Option<WayMask> {
+        let (_, first) = self.first[self.code_of(req.slip_codes)];
+        Some(self.chunk_mask(first?))
+    }
+
+    fn demotion_mask(
+        &mut self,
+        geom: &CacheGeometry,
+        line: &LineState,
+        from_way: usize,
+    ) -> Option<WayMask> {
+        // A line may sit outside its SLIP's sublevels if its page's
+        // policy changed while it was resident; it has no next chunk
+        // and is evicted.
+        let at = self.code_of(line.slip_codes) * self.sublevels + geom.sublevel(from_way);
+        let next = self.next[at]?;
+        Some(self.chunk_mask(next))
+    }
+
+    fn classify_insertion(&self, _geom: &CacheGeometry, req: &FillRequest) -> InsertionClass {
+        self.first[self.code_of(req.slip_codes)].0
     }
 
     fn uses_movement_queue(&self) -> bool {

@@ -18,6 +18,10 @@ pub const PAPER_BINS: usize = 4;
 /// Counter width used by the paper.
 pub const PAPER_BIN_BITS: u32 = 4;
 
+/// Most bins a distribution holds: one per sublevel of a level with
+/// the maximum 8 sublevels, plus the beyond-capacity bin.
+pub const MAX_BINS: usize = crate::slip::MAX_SUBLEVELS + 1;
+
 /// A quantized reuse-distance distribution.
 ///
 /// # Example
@@ -34,9 +38,15 @@ pub const PAPER_BIN_BITS: u32 = 4;
 /// assert!((p[0] - 0.75).abs() < 1e-12);
 /// assert!((p[3] - 0.25).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The counters live inline (at most [`MAX_BINS`]), so a distribution
+/// is a plain `Copy` value and a page-table entry holding two of them
+/// owns no heap memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RdDistribution {
-    counts: Vec<u16>,
+    /// Counters; slots at and past `bins` stay zero.
+    counts: [u16; MAX_BINS],
+    bins: u8,
     max_count: u16,
 }
 
@@ -46,12 +56,15 @@ impl RdDistribution {
     ///
     /// # Panics
     ///
-    /// Panics if `bins` is zero or `bits` is not in `1..=16`.
+    /// Panics if `bins` is not in `1..=MAX_BINS` or `bits` is not in
+    /// `1..=16`.
     pub fn new(bins: usize, bits: u32) -> Self {
         assert!(bins > 0, "at least one bin required");
+        assert!(bins <= MAX_BINS, "at most {MAX_BINS} bins");
         assert!((1..=16).contains(&bits), "counter width must be 1..=16");
         RdDistribution {
-            counts: vec![0; bins],
+            counts: [0; MAX_BINS],
+            bins: bins as u8,
             max_count: ((1u32 << bits) - 1) as u16,
         }
     }
@@ -63,7 +76,7 @@ impl RdDistribution {
 
     /// Number of bins.
     pub fn bins(&self) -> usize {
-        self.counts.len()
+        usize::from(self.bins)
     }
 
     /// Maximum value a counter may hold.
@@ -73,7 +86,7 @@ impl RdDistribution {
 
     /// Raw counter values.
     pub fn counts(&self) -> &[u16] {
-        &self.counts
+        &self.counts[..self.bins()]
     }
 
     /// Sum of all counters.
@@ -97,7 +110,7 @@ impl RdDistribution {
     ///
     /// Panics if `bin` is out of range.
     pub fn observe(&mut self, bin: usize) {
-        assert!(bin < self.counts.len(), "bin {bin} out of range");
+        assert!(bin < self.bins(), "bin {bin} out of range");
         if self.counts[bin] == self.max_count {
             for c in &mut self.counts {
                 *c /= 2;
@@ -114,7 +127,7 @@ impl RdDistribution {
     /// [`write_probabilities`](Self::write_probabilities); hot paths
     /// should reuse a buffer with that method instead.
     pub fn probabilities(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.counts.len()];
+        let mut out = vec![0.0; self.bins()];
         self.write_probabilities(&mut out);
         out
     }
@@ -128,13 +141,13 @@ impl RdDistribution {
     ///
     /// Panics if `out.len()` differs from the bin count.
     pub fn write_probabilities(&self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.counts.len(), "one slot per bin");
+        assert_eq!(out.len(), self.bins(), "one slot per bin");
         let total = self.total();
         if total == 0 {
-            out.fill(1.0 / self.counts.len() as f64);
+            out.fill(1.0 / self.bins() as f64);
             return;
         }
-        for (o, &c) in out.iter_mut().zip(&self.counts) {
+        for (o, &c) in out.iter_mut().zip(self.counts()) {
             *o = f64::from(c) / total as f64;
         }
     }
@@ -150,13 +163,13 @@ impl RdDistribution {
     ///
     /// Panics if `out.len()` differs from the bin count.
     pub fn write_probabilities_q16(&self, out: &mut [u32]) {
-        assert_eq!(out.len(), self.counts.len(), "one slot per bin");
+        assert_eq!(out.len(), self.bins(), "one slot per bin");
         let total = self.total();
         if total == 0 {
-            out.fill((1u32 << 16) / self.counts.len() as u32);
+            out.fill((1u32 << 16) / self.bins() as u32);
             return;
         }
-        for (o, &c) in out.iter_mut().zip(&self.counts) {
+        for (o, &c) in out.iter_mut().zip(self.counts()) {
             *o = ((u64::from(c) << 16) / u64::from(total)) as u32;
         }
     }
@@ -170,11 +183,11 @@ impl RdDistribution {
     pub fn to_bits(&self) -> u64 {
         let width = 16 - self.max_count.leading_zeros();
         assert!(
-            width as usize * self.counts.len() <= 64,
+            width as usize * self.bins() <= 64,
             "packed distribution exceeds 64 bits"
         );
         let mut out = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
+        for (i, &c) in self.counts().iter().enumerate() {
             out |= u64::from(c) << (i as u32 * width);
         }
         out
@@ -194,14 +207,14 @@ impl RdDistribution {
     /// Storage size of the packed form, in bits.
     pub fn storage_bits(&self) -> u32 {
         let width = 16 - self.max_count.leading_zeros();
-        width * self.counts.len() as u32
+        width * u32::from(self.bins)
     }
 }
 
 impl fmt::Display for RdDistribution {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, c) in self.counts.iter().enumerate() {
+        for (i, c) in self.counts().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -244,7 +257,7 @@ mod tests {
         // Paper §4.1: counts [4, 15, 0, 12], new access in the bin
         // holding 15 => [2, 8, 0, 6].
         let mut d = RdDistribution::paper_default();
-        d.counts = vec![4, 15, 0, 12];
+        d.counts[..4].copy_from_slice(&[4, 15, 0, 12]);
         d.observe(1);
         assert_eq!(d.counts(), &[2, 8, 0, 6]);
     }

@@ -30,7 +30,7 @@ cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 # Conformance gate: bounded differential fuzz + invariant sweep
 # (including the shard-, fused-, fastpath-, and topology-determinism
 # checks: the sharded and fused executions, the optimized hot path —
-# SoA L1 with packed LRU stacks, SWAR tag filter, q16 EOU kernel — and
+# SoA L1 with packed LRU stacks, exact tag filter, q16 EOU kernel — and
 # every built-in hierarchy spec must be bit-identical to the verbatim
 # reference over the adversarial trace families) at a fixed seed, so
 # every run covers the identical scenario set. --topology stt-llc additionally drives the asymmetric
